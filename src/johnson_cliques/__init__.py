@@ -5,6 +5,8 @@ The package provides exact subset combinatorics, the implicit graph, the
 closed-form enumeration and classification of maximal cliques, clique and
 clique-partition numbers, and a brute-force oracle that independently
 verifies every closed-form claim.
+
+The names imported below are the public API.
 """
 
 from .combinat import (
@@ -12,14 +14,11 @@ from .combinat import (
     Label,
     binomial,
     colex_key,
-    difference,
     format_label,
-    intersect,
     iter_subsets_colex,
     make_label,
     parse_label,
     rank,
-    union,
     unrank,
     validate_label,
 )
@@ -41,7 +40,6 @@ from .cliques import (
     Clique,
     CliqueClass,
     CliquePartition,
-    FamilyDescription,
     MaximalClique,
     classify,
     clique_number,
@@ -50,7 +48,6 @@ from .cliques import (
     enumerate_max_cliques,
     enumerate_min_cliques,
     extend_to_maximal,
-    family_view,
     intersection_of,
     is_clique,
     members_of,
@@ -67,59 +64,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MAX_GROUND_SET",
-    "DEFAULT_EXPORT_CAP",
-    "DEFAULT_MATERIALIZE_CAP",
-    "Label",
-    "binomial",
-    "colex_key",
-    "difference",
-    "format_label",
-    "intersect",
-    "iter_subsets_colex",
-    "make_label",
-    "parse_label",
-    "rank",
-    "union",
-    "unrank",
-    "validate_label",
-    "InternalConsistencyError",
-    "RangeError",
-    "RegimeError",
-    "ValidationError",
-    "Edge",
-    "JohnsonParams",
-    "are_adjacent",
-    "edge_count",
-    "edges",
-    "export",
-    "neighbors",
-    "vertex_count",
-    "Classification",
-    "ClassificationKind",
-    "Clique",
-    "CliqueClass",
-    "CliquePartition",
-    "FamilyDescription",
-    "MaximalClique",
-    "classify",
-    "clique_number",
-    "clique_partition",
-    "clique_partition_number",
-    "enumerate_max_cliques",
-    "enumerate_min_cliques",
-    "extend_to_maximal",
-    "family_view",
-    "intersection_of",
-    "is_clique",
-    "members_of",
-    "union_of",
-    "DenseGraph",
-    "VerificationReport",
-    "materialize",
-    "maximal_cliques",
-    "verify",
-    "verify_range",
-]

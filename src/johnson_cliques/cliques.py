@@ -35,7 +35,7 @@ from .combinat import (
     validate_label,
 )
 from .errors import InternalConsistencyError, RegimeError, ValidationError
-from .graph import Edge, JohnsonParams, are_adjacent, edge_count
+from .graph import JohnsonParams, edge_count
 
 
 class CliqueClass(str, Enum):
@@ -66,22 +66,14 @@ class MaximalClique:
     defining_set: Label
 
     def __post_init__(self) -> None:
-        validate_label(self.defining_set, self.params.n)
-        if self.kind is CliqueClass.MIN:
-            if len(self.defining_set) != self.params.m + 1:
-                raise ValidationError(
-                    f"class min defining set {self.defining_set} must have size m+1={self.params.m + 1}"
-                )
-        else:
-            if self.params.degenerate:
-                raise RegimeError(
-                    f"class max cliques are not maximal in the degenerate regime n == m+1 "
-                    f"(n={self.params.n}, m={self.params.m})"
-                )
-            if len(self.defining_set) != self.params.m - 1:
-                raise ValidationError(
-                    f"class max defining set {self.defining_set} must have size m-1={self.params.m - 1}"
-                )
+        p = self.params
+        if self.kind is CliqueClass.MAX and p.degenerate:
+            raise RegimeError(
+                f"class max cliques are not maximal in the degenerate regime n == m+1 "
+                f"(n={p.n}, m={p.m})"
+            )
+        size = p.m + 1 if self.kind is CliqueClass.MIN else p.m - 1
+        validate_label(self.defining_set, p.n, size)
 
     @property
     def size(self) -> int:
@@ -102,13 +94,11 @@ class MaximalClique:
         )
 
     def contains(self, label: Label) -> bool:
-        """True when ``label`` is a member of this clique."""
-        s = set(label)
-        if len(label) != self.params.m:
-            return False
+        """True when ``label``, an m-subset of {1..n}, is a member of this clique."""
+        validate_label(label, self.params.n, self.params.m)
         if self.kind is CliqueClass.MIN:
-            return s <= set(self.defining_set)
-        return set(self.defining_set) <= s and max(label) <= self.params.n
+            return set(label) <= set(self.defining_set)
+        return set(self.defining_set) <= set(label)
 
     def to_dict(self) -> dict:
         return {
@@ -122,42 +112,33 @@ class MaximalClique:
 
 @dataclass(frozen=True)
 class Clique:
-    """A validated clique: pairwise-adjacent labels plus cached set algebra.
-
-    Construction re-derives and checks everything; callers cannot smuggle in
-    a non-clique or stale cached sets.
-    """
+    """A clique of J_n(m, m-1): distinct, pairwise-adjacent m-subsets of {1..n}."""
 
     params: JohnsonParams
     members: tuple[Label, ...]
-    intersection_set: Label
-    union_set: Label
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValidationError("a clique needs at least one member")
         for lab in self.members:
             validate_label(lab, self.params.n, self.params.m)
-        if len(set(self.members)) != len(self.members):
-            raise ValidationError("clique members must be distinct")
-        for a, b in combinations(self.members, 2):
-            if not are_adjacent(a, b):
-                raise ValidationError(f"labels {a} and {b} are not adjacent; not a clique")
-        if self.intersection_set != intersection_of(self.members):
-            raise ValidationError("cached intersection_set does not match members")
-        if self.union_set != union_of(self.members):
-            raise ValidationError("cached union_set does not match members")
+        if not _forms_clique(self.members):
+            raise ValidationError(f"labels {self.members} are not adjacent pairwise; not a clique")
 
     @classmethod
     def from_labels(cls, labels: Iterable[Label], params: JohnsonParams) -> "Clique":
-        members = tuple(sorted((make_label(lab) for lab in labels), key=colex_key))
-        if not members:
-            raise ValidationError("a clique needs at least one member")
-        return cls(params, members, intersection_of(members), union_of(members))
+        """The clique on ``labels``, each sorted, members in colex order."""
+        return cls(params, tuple(sorted((tuple(sorted(lab)) for lab in labels), key=colex_key)))
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def intersection_set(self) -> Label:
+        return _intersection(self.members)
+
+    @property
+    def union_set(self) -> Label:
+        return _union(self.members)
 
 
 @dataclass(frozen=True)
@@ -178,60 +159,62 @@ class CliquePartition:
     """A family of maximal cliques whose edge sets partition the graph's edges."""
 
     parts: tuple[MaximalClique, ...]
-    covered_edge_count: int
+
+    @property
+    def covered_edge_count(self) -> int:
+        """Edges covered by the parts: each part is a clique of one common size."""
+        return len(self.parts) * binomial(self.parts[0].size, 2)
 
     def to_dict(self) -> dict:
         return {"cp": len(self.parts), "parts": [h.to_dict() for h in self.parts]}
 
 
-@dataclass(frozen=True)
-class FamilyDescription:
-    """A maximal clique read as an intersecting family of m-sets.
+def _intersection(members: tuple[Label, ...]) -> Label:
+    return tuple(sorted(set(members[0]).intersection(*members[1:])))
 
-    For class ``min``: the total intersection is empty, every pairwise union
-    equals the defining set, and there are m+1 sets. For class ``max``: the
-    total intersection equals the defining core, every pairwise intersection
-    equals it too, and there are n-m+1 sets.
+
+def _union(members: tuple[Label, ...]) -> Label:
+    return tuple(sorted(set().union(*members)))
+
+
+def _forms_clique(members: tuple[Label, ...]) -> bool:
+    """Whether same-size labels are distinct and pairwise adjacent.
+
+    Raises ValidationError for no labels, labels of mixed sizes or a repeated
+    label. Pairwise adjacency of r >= 2 m-sets holds exactly when they all lie
+    in one (m+1)-set or all contain one (m-1)-core, so the test costs O(r m)
+    instead of r(r-1)/2 pair tests.
     """
+    if not members:
+        raise ValidationError("a clique needs at least one member")
+    m = len(members[0])
+    if any(len(lab) != m for lab in members):
+        raise ValidationError(f"labels {members} differ in size")
+    if len(set(members)) != len(members):
+        raise ValidationError("clique members must be distinct")
+    return len(members) == 1 or len(_union(members)) == m + 1 or len(_intersection(members)) == m - 1
 
-    kind: CliqueClass
-    defining_set: Label
-    member_size: int
-    element_count: int
-    total_intersection: Label
-    pairwise_union: Label | None
-    pairwise_intersection: Label | None
 
-
-def _normalized_members(labels: Iterable[Label]) -> tuple[Label, ...]:
+def _normalized(labels: Iterable[Label]) -> tuple[Label, ...]:
     members = tuple(make_label(lab) for lab in labels)
     if not members:
         raise ValidationError("need at least one label")
-    size = len(members[0])
-    for lab in members[1:]:
-        if len(lab) != size:
-            raise ValidationError(f"labels {members[0]} and {lab} differ in size")
     return members
 
 
 def is_clique(labels: Iterable[Label]) -> bool:
     """True when the labels are pairwise adjacent (all same size, distinct)."""
-    members = _normalized_members(labels)
-    if len(set(members)) != len(members):
-        raise ValidationError("labels must be distinct")
-    return all(are_adjacent(a, b) for a, b in combinations(members, 2))
+    return _forms_clique(_normalized(labels))
 
 
 def intersection_of(labels: Iterable[Label]) -> Label:
     """Sorted intersection of all labels; input must be non-empty."""
-    members = _normalized_members(labels)
-    return tuple(sorted(set.intersection(*(set(lab) for lab in members))))
+    return _intersection(_normalized(labels))
 
 
 def union_of(labels: Iterable[Label]) -> Label:
     """Sorted union of all labels; input must be non-empty."""
-    members = _normalized_members(labels)
-    return tuple(sorted(set.union(*(set(lab) for lab in members))))
+    return _union(_normalized(labels))
 
 
 def classify(c: Clique) -> Classification:
@@ -247,38 +230,22 @@ def classify(c: Clique) -> Classification:
     reported as already maximal.
     """
     p = c.params
-    m = p.m
     r = c.size
     if r == 1:
         return Classification(ClassificationKind.SINGLETON, ())
+    union_set = c.union_set
     if r == 2:
-        h_min = MaximalClique(p, CliqueClass.MIN, c.union_set)
+        h_min = MaximalClique(p, CliqueClass.MIN, union_set)
         if p.degenerate:
             return Classification(ClassificationKind.UNIQUE_MIN, (h_min,))
         h_max = MaximalClique(p, CliqueClass.MAX, c.intersection_set)
         return Classification(ClassificationKind.EDGE_BOTH, (h_min, h_max))
-
-    union_size = len(c.union_set)
-    inter_size = len(c.intersection_set)
-    if union_size == m + 1:
-        if inter_size != m + 1 - r:
-            raise InternalConsistencyError(
-                f"clique with |union|={union_size} has |intersection|={inter_size}, expected {m + 1 - r}"
-            )
-        ext = MaximalClique(p, CliqueClass.MIN, c.union_set)
+    if len(union_set) == p.m + 1:
+        ext = MaximalClique(p, CliqueClass.MIN, union_set)
         kind = ClassificationKind.UNIQUE_MIN
-    elif inter_size == m - 1:
-        if union_size != m - 1 + r:
-            raise InternalConsistencyError(
-                f"clique with |intersection|={inter_size} has |union|={union_size}, expected {m - 1 + r}"
-            )
+    else:
         ext = MaximalClique(p, CliqueClass.MAX, c.intersection_set)
         kind = ClassificationKind.UNIQUE_MAX
-    else:
-        raise InternalConsistencyError(
-            f"clique of size {r} with |union|={union_size}, |intersection|={inter_size} "
-            f"matches neither maximal class; this cannot happen for a genuine clique"
-        )
     if r == ext.size:
         return Classification(ClassificationKind.ALREADY_MAXIMAL, (ext,))
     return Classification(kind, (ext,))
@@ -336,8 +303,9 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
 
     Uses the class-max family when n < 2m and the class-min family when
     n >= 2m (at n == 2m both families have the same size and class min is
-    returned), so that the part count equals clique_partition_number. Every
-    edge is verified to be covered exactly once. Requires n >= m+2.
+    returned), so that the part count equals clique_partition_number. The
+    part count and the covered edge count are checked in O(1). Requires
+    n >= m+2.
     """
     if p.degenerate:
         raise RegimeError(
@@ -348,50 +316,20 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
         parts = tuple(enumerate_max_cliques(p))
     else:
         parts = tuple(enumerate_min_cliques(p))
-
-    covered: set[tuple[Label, Label]] = set()
-    for h in parts:
-        for a, b in combinations(h.members(), 2):
-            e = Edge(a, b)
-            key = (e.u, e.v)
-            if key in covered:
-                raise InternalConsistencyError(f"edge {key} covered by two parts")
-            covered.add(key)
-    total = edge_count(p)
-    if len(covered) != total:
+    # No edge lies in two parts: two distinct (m+1)-sets share at most one
+    # m-subset, and two distinct (m-1)-cores have at most one common
+    # m-superset (their union). So the parts cover exactly
+    # len(parts) * C(size, 2) distinct edges, and matching the edge count
+    # proves the cover exact. verify() re-checks it edge by edge.
+    part = CliquePartition(parts)
+    if len(parts) != clique_partition_number(p) or part.covered_edge_count != edge_count(p):
         raise InternalConsistencyError(
-            f"partition covers {len(covered)} edges, graph has {total}"
+            f"partition has {len(parts)} parts covering {part.covered_edge_count} edges; "
+            f"expected {clique_partition_number(p)} parts and {edge_count(p)} edges"
         )
-    if len(parts) != clique_partition_number(p):
-        raise InternalConsistencyError(
-            f"partition has {len(parts)} parts, formula gives {clique_partition_number(p)}"
-        )
-    return CliquePartition(parts=parts, covered_edge_count=total)
+    return part
 
 
 def members_of(h: MaximalClique) -> tuple[Label, ...]:
     """Member labels of a maximal clique, in colex order."""
     return h.members()
-
-
-def family_view(h: MaximalClique) -> FamilyDescription:
-    """Read a maximal clique as a maximally intersecting family of m-sets."""
-    if h.kind is CliqueClass.MIN:
-        return FamilyDescription(
-            kind=h.kind,
-            defining_set=h.defining_set,
-            member_size=h.params.m,
-            element_count=h.size,
-            total_intersection=(),
-            pairwise_union=h.defining_set,
-            pairwise_intersection=None,
-        )
-    return FamilyDescription(
-        kind=h.kind,
-        defining_set=h.defining_set,
-        member_size=h.params.m,
-        element_count=h.size,
-        total_intersection=h.defining_set,
-        pairwise_union=None,
-        pairwise_intersection=h.defining_set,
-    )

@@ -37,14 +37,10 @@ def binomial(n: int, k: int) -> int:
 
 
 def make_label(elements: Iterable[int]) -> Label:
-    """Normalize an iterable of positive integers into a sorted label."""
-    elems = tuple(sorted(elements))
-    for prev, cur in zip(elems, elems[1:]):
-        if prev == cur:
-            raise ValidationError(f"duplicate element {cur} in label {elems}")
-    if elems and elems[0] < 1:
-        raise ValidationError(f"label elements must be >= 1, got {elems[0]}")
-    return elems
+    """Normalize an iterable of integers in 1..MAX_GROUND_SET into a sorted label."""
+    label = tuple(sorted(elements))
+    validate_label(label, MAX_GROUND_SET)
+    return label
 
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
@@ -123,32 +119,3 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
         cur[i] += 1
         for j in range(i):
             cur[j] = j + 1
-
-
-def _check_sorted(label: Label) -> None:
-    prev = 0
-    for e in label:
-        if e <= prev:
-            raise ValidationError(f"label {label!r} is not strictly increasing and positive")
-        prev = e
-
-
-def intersect(a: Label, b: Label) -> Label:
-    """Sorted intersection of two labels."""
-    _check_sorted(a)
-    _check_sorted(b)
-    return tuple(sorted(set(a) & set(b)))
-
-
-def union(a: Label, b: Label) -> Label:
-    """Sorted union of two labels."""
-    _check_sorted(a)
-    _check_sorted(b)
-    return tuple(sorted(set(a) | set(b)))
-
-
-def difference(a: Label, b: Label) -> Label:
-    """Sorted set difference a minus b."""
-    _check_sorted(a)
-    _check_sorted(b)
-    return tuple(sorted(set(a) - set(b)))

@@ -21,7 +21,6 @@ from .combinat import (
     rank,
     unrank,
     validate_label,
-    _check_sorted,
 )
 from .errors import RangeError, ValidationError
 
@@ -60,24 +59,19 @@ class JohnsonParams:
 
 @dataclass(frozen=True)
 class Edge:
-    """An undirected edge; endpoints are stored colex-smaller first."""
+    """An undirected edge between two adjacent labels; endpoints are stored
+    colex-smaller first."""
 
     u: Label
     v: Label
 
     def __post_init__(self) -> None:
-        _check_sorted(self.u)
-        _check_sorted(self.v)
-        if len(self.u) != len(self.v):
-            raise ValidationError(f"edge endpoints {self.u} and {self.v} differ in size")
+        if not are_adjacent(self.u, self.v):
+            raise ValidationError(f"{self.u} and {self.v} are not adjacent")
         if colex_key(self.u) > colex_key(self.v):
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
-        if self.u == self.v:
-            raise ValidationError(f"self-loop at {self.u} is not an edge")
-        if len(set(self.u) & set(self.v)) != len(self.u) - 1:
-            raise ValidationError(f"{self.u} and {self.v} are not adjacent")
 
 
 def vertex_count(p: JohnsonParams) -> int:
@@ -92,10 +86,8 @@ def edge_count(p: JohnsonParams) -> int:
 
 def are_adjacent(u: Label, v: Label) -> bool:
     """True when the two labels differ by exactly one element swap."""
-    _check_sorted(u)
-    _check_sorted(v)
-    if len(u) != len(v):
-        raise ValidationError(f"labels {u} and {v} differ in size")
+    validate_label(u, MAX_GROUND_SET)
+    validate_label(v, MAX_GROUND_SET, len(u))
     return len(set(u) & set(v)) == len(u) - 1
 
 
@@ -116,14 +108,15 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     return out
 
 
-def edges(p: JohnsonParams) -> Iterator[Edge]:
-    """All edges exactly once, sorted by (colex rank of u, colex rank of v)."""
+def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
+    """All edges exactly once as (u, v) label pairs, sorted by (colex rank
+    of u, colex rank of v)."""
     for r in range(vertex_count(p)):
         u = unrank(r, p.n, p.m)
         ku = colex_key(u)
         for v in neighbors(u, p):
             if colex_key(v) > ku:
-                yield Edge(u, v)
+                yield u, v
 
 
 def _node_id(label: Label) -> str:
@@ -148,18 +141,18 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAU
         raise RangeError(f"graph has {nv} vertices, above the export cap {max_vertices}")
 
     if fmt == "edgelist":
-        for e in edges(p):
-            sink.write(f"{format_label(e.u)} -- {format_label(e.v)}\n".encode())
+        for u, v in edges(p):
+            sink.write(f"{format_label(u)} -- {format_label(v)}\n".encode())
     elif fmt == "dot":
         sink.write(f"graph J_{p.n}_{p.m} {{\n".encode())
-        for e in edges(p):
-            sink.write(f'  "{_node_id(e.u)}" -- "{_node_id(e.v)}";\n'.encode())
+        for u, v in edges(p):
+            sink.write(f'  "{_node_id(u)}" -- "{_node_id(v)}";\n'.encode())
         sink.write(b"}\n")
     else:
         payload = {
             "n": p.n,
             "m": p.m,
             "vertices": [list(unrank(r, p.n, p.m)) for r in range(nv)],
-            "edges": [[rank(e.u, p.n), rank(e.v, p.n)] for e in edges(p)],
+            "edges": [[rank(u, p.n), rank(v, p.n)] for u, v in edges(p)],
         }
         sink.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")

@@ -8,6 +8,7 @@ search knows nothing about Johnson structure; it only sees adjacency bits.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -275,6 +276,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
             partition_ok = (
                 len(part.parts) == clique_partition_number(p)
                 and part.covered_edge_count == edge_count(p)
+                and _family_covers_each_edge_once(part.parts, edge_keys)
             )
         except InternalConsistencyError as exc:
             partition_ok = False
@@ -310,7 +312,14 @@ def verify_range(
         for n in sorted(set(n_values))
         if m >= 2 and m + 1 <= n <= MAX_GROUND_SET
     ]
-    if jobs <= 1 or len(pairs) <= 1:
+    workers = _worker_count(jobs, len(pairs))
+    if workers <= 1:
         return [verify(p, max_vertices) for p in pairs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(verify, max_vertices=max_vertices), pairs))
+
+
+def _worker_count(jobs: int, pair_count: int) -> int:
+    """Processes worth starting for ``pair_count`` pairs: ``jobs``, bounded by
+    the pair count and the CPU count."""
+    return min(jobs, pair_count, os.cpu_count() or 1)

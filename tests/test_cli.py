@@ -199,10 +199,17 @@ class TestVerify:
 
     def test_jobs_flag_keeps_output_identical(self):
         _, serial, _ = run_cli(["verify", "--m-range", "2..3", "--n-range", "4..6"])
-        _, parallel, _ = run_cli(
+        _, parallel, err = run_cli(
             ["verify", "--m-range", "2..3", "--n-range", "4..6", "--jobs", "3"]
         )
         assert serial == parallel
+        assert re.search(rb"pairs passed in \d+\.\d\ds wall time \(\d+\.\d\ds summed over pairs\)", err)
+
+    def test_empty_range_is_usage_error(self):
+        code, out, err = run_cli(["verify", "--m-range", "5..2", "--n-range", "3..9"])
+        assert code == 1
+        assert out == b""
+        assert b"usage error" in err and b"no valid (n, m) pair" in err
 
     def test_failing_check_exits_3(self, monkeypatch):
         real = verify(JohnsonParams(4, 2))

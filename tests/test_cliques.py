@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from johnson_cliques import (
     Classification,
@@ -20,7 +22,6 @@ from johnson_cliques import (
     enumerate_max_cliques,
     enumerate_min_cliques,
     extend_to_maximal,
-    family_view,
     intersection_of,
     is_clique,
     materialize,
@@ -29,7 +30,7 @@ from johnson_cliques import (
     union_of,
     unrank,
 )
-from helpers import colex_subsets, naive_label_cliques, quadratic_edges
+from helpers import colex_subsets, naive_label_cliques, quadratic_edges, swap_adjacent
 
 J42 = JohnsonParams(4, 2)
 J53 = JohnsonParams(5, 3)
@@ -57,6 +58,23 @@ class TestIsClique:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValidationError):
             is_clique([(1, 2), (1, 2, 3)])
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (5, 3), (6, 3)])
+    def test_closed_form_test_matches_pairwise_definition(self, n, m):
+        # is_clique and Clique decide by |union| and |intersection|; the
+        # definition is that every two members share m-1 elements.
+        p = JohnsonParams(n, m)
+        labels = colex_subsets(n, m)
+        for r in range(1, 5):
+            for subset in combinations(labels, r):
+                expected = all(swap_adjacent(a, b) for a, b in combinations(subset, 2))
+                assert is_clique(subset) == expected
+                try:
+                    Clique.from_labels(subset, p)
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == expected
 
 
 class TestSetAggregates:
@@ -95,10 +113,6 @@ class TestCliqueType:
         with pytest.raises(ValidationError):
             Clique.from_labels([(1, 2, 3)], J42)
 
-    def test_stale_caches_rejected(self):
-        with pytest.raises(ValidationError):
-            Clique(J42, ((1, 2), (1, 3)), (9,), (1, 2, 3))
-
 
 class TestMaximalCliqueType:
     def test_members_of_min(self):
@@ -124,6 +138,31 @@ class TestMaximalCliqueType:
         h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
         assert h.contains((2, 3, 4))
         assert not h.contains((1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "n,m,kind,defining_set,label",
+        [
+            (5, 3, CliqueClass.MIN, (1, 2, 3, 4), (1, 1, 2)),
+            (6, 3, CliqueClass.MAX, (1, 2), (0, 1, 2)),
+            (6, 3, CliqueClass.MAX, (1, 2), (1, 2, 2)),
+        ],
+    )
+    def test_contains_rejects_non_labels(self, n, m, kind, defining_set, label):
+        h = MaximalClique(JohnsonParams(n, m), kind, defining_set)
+        with pytest.raises(ValidationError):
+            h.contains(label)
+
+    @given(st.data())
+    def test_contains_matches_members(self, data):
+        n = data.draw(st.integers(4, 9))
+        m = data.draw(st.integers(2, n - 2))
+        p = JohnsonParams(n, m)
+        kind = data.draw(st.sampled_from(CliqueClass))
+        size = m + 1 if kind is CliqueClass.MIN else m - 1
+        defining_set = data.draw(st.sets(st.integers(1, n), min_size=size, max_size=size))
+        h = MaximalClique(p, kind, tuple(sorted(defining_set)))
+        x = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
+        assert h.contains(x) == (x in h.members())
 
     def test_defining_set_size_validated(self):
         with pytest.raises(ValidationError):
@@ -358,29 +397,25 @@ class TestPartition:
 
 
 class TestFamilyView:
+    """A maximal clique read as an intersecting family of m-sets."""
+
     def test_min_family(self):
         h = MaximalClique(J53, CliqueClass.MIN, (1, 2, 3, 5))
-        fam = family_view(h)
-        assert fam.element_count == 4 == J53.m + 1
-        assert fam.total_intersection == ()
-        assert fam.pairwise_union == (1, 2, 3, 5)
-        assert fam.pairwise_intersection is None
-        # the facts, checked directly against the member sets
+        assert h.size == 4 == J53.m + 1
+        assert intersection_of(h.members()) == ()
         for a, b in combinations(h.members(), 2):
-            assert tuple(sorted(set(a) | set(b))) == fam.pairwise_union
+            assert union_of([a, b]) == (1, 2, 3, 5)
 
     def test_max_family(self):
         h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
-        fam = family_view(h)
-        assert fam.element_count == 3 == J53.n - J53.m + 1
-        assert fam.total_intersection == (3, 4)
+        assert h.size == 3 == J53.n - J53.m + 1
+        assert intersection_of(h.members()) == (3, 4)
 
     def test_max_family_pairwise_law(self):
         h = MaximalClique(JohnsonParams(6, 2), CliqueClass.MAX, (1,))
-        fam = family_view(h)
-        assert fam.element_count == 5
+        assert h.size == 5
         for a, b in combinations(h.members(), 2):
-            assert tuple(sorted(set(a) & set(b))) == (1,) == fam.pairwise_intersection
+            assert intersection_of([a, b]) == (1,)
 
 
 class TestStructureLaws:

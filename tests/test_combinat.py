@@ -7,14 +7,13 @@ from johnson_cliques import (
     RangeError,
     ValidationError,
     binomial,
-    difference,
     format_label,
-    intersect,
+    intersection_of,
     iter_subsets_colex,
     make_label,
     parse_label,
     rank,
-    union,
+    union_of,
     unrank,
 )
 from helpers import colex_subsets, pascal_binomial, pascal_triangle
@@ -101,17 +100,9 @@ class TestRankUnrank:
 
 class TestSetAlgebra:
     def test_examples(self):
-        assert intersect((1, 2), (1, 3)) == (1,)
-        assert union((1, 2), (1, 2)) == (1, 2)
-        assert intersect((1, 2), (3, 4)) == ()
-
-    def test_difference(self):
-        assert difference((1, 2, 3), (2,)) == (1, 3)
-        assert difference((1, 2), (1, 2)) == ()
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValidationError):
-            intersect((2, 1), (1, 3))
+        assert intersection_of([(1, 2), (1, 3)]) == (1,)
+        assert union_of([(1, 2), (1, 2)]) == (1, 2)
+        assert intersection_of([(1, 2), (3, 4)]) == ()
 
     @given(
         st.frozensets(st.integers(1, 40), max_size=10),
@@ -119,7 +110,7 @@ class TestSetAlgebra:
     )
     def test_inclusion_exclusion(self, a, b):
         la, lb = make_label(a), make_label(b)
-        assert len(intersect(la, lb)) + len(union(la, lb)) == len(la) + len(lb)
+        assert len(intersection_of([la, lb])) + len(union_of([la, lb])) == len(la) + len(lb)
 
     @given(
         st.frozensets(st.integers(1, 40), max_size=10),
@@ -128,9 +119,8 @@ class TestSetAlgebra:
     def test_outputs_sorted_and_match_set_semantics(self, a, b):
         la, lb = make_label(a), make_label(b)
         for got, expected in [
-            (intersect(la, lb), a & b),
-            (union(la, lb), a | b),
-            (difference(la, lb), a - b),
+            (intersection_of([la, lb]), a & b),
+            (union_of([la, lb]), a | b),
         ]:
             assert got == tuple(sorted(expected))
 
@@ -157,7 +147,20 @@ class TestLabelText:
 
     def test_unordered_input_normalized(self):
         assert parse_label("{3,1}") == (1, 3)
+        assert parse_label("{3,1,2}") == (1, 2, 3)
+        assert parse_label("{01,2}") == (1, 2)
         assert make_label([4, 2, 9]) == (2, 4, 9)
+
+    def test_elements_beyond_ground_set_bound_rejected(self):
+        with pytest.raises(ValidationError):
+            make_label([1, MAX_GROUND_SET + 1])
+        with pytest.raises(ValidationError):
+            parse_label("{1,100}")
+
+    @given(st.frozensets(st.integers(1, MAX_GROUND_SET), min_size=1, max_size=12))
+    def test_canonical_text_roundtrip(self, elements):
+        text = "{" + ",".join(str(e) for e in sorted(elements)) + "}"
+        assert format_label(parse_label(text)) == text
 
 
 class TestColexStream:

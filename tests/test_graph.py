@@ -72,6 +72,10 @@ class TestAdjacency:
         with pytest.raises(ValidationError):
             are_adjacent((1, 2), (1, 2, 3))
 
+    def test_labels_beyond_ground_set_bound_rejected(self):
+        with pytest.raises(ValidationError):
+            are_adjacent((1, 100), (1, 101))
+
     def test_self_not_adjacent(self):
         assert not are_adjacent((1, 2), (1, 2))
 
@@ -117,7 +121,7 @@ class TestNeighbors:
 
 class TestEdges:
     def test_triangle(self):
-        got = [(e.u, e.v) for e in edges(JohnsonParams(3, 2))]
+        got = list(edges(JohnsonParams(3, 2)))
         assert got == [((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))]
 
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 3)])
@@ -129,13 +133,13 @@ class TestEdges:
             labels = colex_subsets(n, m)
             assert vertex_count(JohnsonParams(n, m)) <= 300
             expected = {frozenset(pair) for pair in quadratic_edges(labels)}
-            got = [(e.u, e.v) for e in edges(JohnsonParams(n, m))]
+            got = list(edges(JohnsonParams(n, m)))
             assert len(got) == len(set(got))
             assert {frozenset(pair) for pair in got} == expected
 
     def test_canonical_order(self):
         p = JohnsonParams(5, 3)
-        seen = [(rank(e.u, 5), rank(e.v, 5)) for e in edges(p)]
+        seen = [(rank(u, 5), rank(v, 5)) for u, v in edges(p)]
         assert all(i < j for i, j in seen)
         assert seen == sorted(seen)
 

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import johnson_cliques.oracle as oracle
 from johnson_cliques import (
+    CliquePartition,
     DenseGraph,
     JohnsonParams,
     RangeError,
     ValidationError,
     binomial,
+    clique_partition,
     edge_count,
     materialize,
     maximal_cliques,
@@ -19,7 +22,7 @@ from johnson_cliques import (
     verify_range,
     vertex_count,
 )
-from helpers import ACCEPTANCE_PAIRS, naive_maximal_cliques, naive_label_cliques
+from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS, naive_maximal_cliques, naive_label_cliques
 
 
 def assert_all_maximal(g, cliques):
@@ -191,6 +194,17 @@ class TestVerify:
             "notes",
         ]
 
+    def test_partition_coverage_checked_edge_by_edge(self, monkeypatch):
+        # Replacing one part by a copy of another keeps the part count and
+        # the counted edges right while one edge is covered twice and
+        # another not at all; only the exhaustive check can see it.
+        real = clique_partition(JohnsonParams(5, 3))
+        broken = CliquePartition((real.parts[0],) + real.parts[:-1])
+        monkeypatch.setattr(oracle, "clique_partition", lambda p: broken)
+        report = verify(JohnsonParams(5, 3))
+        assert not report.partition_ok
+        assert not report.passed
+
     def test_report_is_picklable(self):
         report = verify(JohnsonParams(4, 2))
         assert pickle.loads(pickle.dumps(report)) == report
@@ -211,6 +225,15 @@ class TestVerifyRange:
     def test_invalid_pairs_skipped(self):
         reports = verify_range([2, 3], [3, 4])
         assert [(r.params.n, r.params.m) for r in reports] == [(3, 2), (4, 2), (4, 3)]
+
+    def test_worker_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert oracle._worker_count(10**6, 27) == 2
+        assert oracle._worker_count(10**6, 1) == 1
+        assert oracle._worker_count(1, 27) == 1
+        assert oracle._worker_count(0, 27) == 0
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert oracle._worker_count(8, 27) == 1
 
     def test_parallel_matches_serial(self):
         serial = verify_range([2, 3], range(4, 7), jobs=1)
@@ -246,3 +269,15 @@ class TestOracleAgainstClosedForm:
     def test_full_range_passes(self):
         for n, m in ACCEPTANCE_PAIRS:
             assert verify(JohnsonParams(n, m)).passed
+
+
+class TestSecondOracle:
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
+    def test_networkx_finds_the_same_cliques(self, n, m, oracle_cache):
+        nx = pytest.importorskip("networkx")
+        g, _, cliques = oracle_cache(n, m)
+        nv = g.vertex_count
+        graph = nx.Graph()
+        graph.add_nodes_from(range(nv))
+        graph.add_edges_from((i, j) for i in range(nv) for j in range(i + 1, nv) if g.adjacent(i, j))
+        assert sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph)) == cliques
