@@ -56,6 +56,7 @@ from .cliques import (
 from .oracle import (
     DEFAULT_MATERIALIZE_CAP,
     DenseGraph,
+    SkippedPair,
     VerificationReport,
     materialize,
     maximal_cliques,

@@ -4,6 +4,9 @@ Materializes J_n(m, m-1) as an explicit dense graph, enumerates all maximal
 cliques with pivoted Bron-Kerbosch, and compares what it finds against the
 closed-form enumerations, clique number, and edge partition. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
+The graph is built from single swaps (one element of a label traded for one
+outside it); the tests check it against the pairwise "share m-1 elements"
+definition.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .combinat import MAX_GROUND_SET, Label, binomial, unrank
+from .combinat import MAX_GROUND_SET, Label, binomial, iter_subsets_colex
 from .cliques import (
     clique_number,
     clique_partition,
@@ -25,10 +28,13 @@ from .cliques import (
     enumerate_min_cliques,
 )
 from .errors import InternalConsistencyError, RangeError, ValidationError
-from .graph import JohnsonParams, are_adjacent, edge_count, vertex_count
+from .graph import JohnsonParams, edge_count, vertex_count
 
 #: Largest graph verify()/materialize() will build by default.
 DEFAULT_MATERIALIZE_CAP = 2000
+
+#: The phases verify() times, in the order it runs them.
+VERIFY_PHASES = ("materialize", "clique_search", "families", "edge_law", "partition")
 
 
 @dataclass(frozen=True)
@@ -64,17 +70,38 @@ class DenseGraph:
 
 def materialize(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> DenseGraph:
     """Build the explicit graph; vertex i carries the label of colex rank i."""
+    return _build(p, max_vertices)[1]
+
+
+def _over_cap(p: JohnsonParams, max_vertices: int) -> str | None:
     nv = vertex_count(p)
     if nv > max_vertices:
-        raise RangeError(f"graph has {nv} vertices, above the materialization cap {max_vertices}")
-    labels = [unrank(r, p.n, p.m) for r in range(nv)]
-    rows = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if are_adjacent(labels[i], labels[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return DenseGraph(nv, tuple(rows))
+        return f"graph has {nv} vertices, above the materialization cap {max_vertices}"
+    return None
+
+
+def _build(p: JohnsonParams, max_vertices: int) -> tuple[list[Label], DenseGraph]:
+    """The labels in colex order and the graph whose vertex i is labels[i].
+
+    A label's neighbours are the label with one element swapped for one
+    outside it, so row i takes m(n-m) rank lookups on bit masks.
+    """
+    reason = _over_cap(p, max_vertices)
+    if reason:
+        raise RangeError(reason)
+    labels = list(iter_subsets_colex(p.n, p.m))
+    masks = [sum(1 << e for e in label) for label in labels]
+    rank_of = {mask: i for i, mask in enumerate(masks)}
+    rows = []
+    for label, mask in zip(labels, masks):
+        outside = [1 << e for e in range(1, p.n + 1) if not (mask >> e) & 1]
+        row = 0
+        for e in label:
+            rest = mask ^ (1 << e)
+            for bit in outside:
+                row |= 1 << rank_of[rest | bit]
+        rows.append(row)
+    return labels, DenseGraph(len(labels), tuple(rows))
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -88,14 +115,22 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
 def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
     """All maximal cliques of ``g``, each once, members ascending, cliques
     sorted; pivoted Bron-Kerbosch, deterministic across runs."""
+    return _bron_kerbosch(g)[0]
+
+
+def _bron_kerbosch(g: DenseGraph) -> tuple[list[tuple[int, ...]], int]:
+    """maximal_cliques(g) and the number of expand calls it took."""
     if g.vertex_count == 0:
-        return []
+        return [], 0
     rows = g.rows
     found: list[tuple[int, ...]] = []
+    calls = 0
 
-    def pick_pivot(cand: int) -> int:
+    def pick_pivot(cand: int, excl: int) -> int:
+        # Tomita, Tanaka & Takahashi (2006): the vertex of P | X with the
+        # most neighbours in P, so the fewest branches remain.
         best_v, best_score = -1, -1
-        rest = cand
+        rest = cand | excl
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
@@ -105,11 +140,13 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
         return best_v
 
     def expand(base: int, cand: int, excl: int) -> None:
+        nonlocal calls
+        calls += 1
         if not cand:
             if not excl:
                 found.append(_mask_vertices(base))
             return
-        pivot = pick_pivot(cand)
+        pivot = pick_pivot(cand, excl)
         todo = cand & ~rows[pivot]
         while todo:
             bit = todo & -todo
@@ -121,7 +158,7 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
 
     expand(0, (1 << g.vertex_count) - 1, 0)
     found.sort()
-    return found
+    return found, calls
 
 
 @dataclass(frozen=True)
@@ -131,6 +168,8 @@ class VerificationReport:
     All checks are reported, never raised. ``notes`` carries explanations,
     in particular the degenerate-regime discrepancy between the partition
     formula value and the actual minimum (a single clique).
+    ``phase_seconds`` holds the time of each of VERIFY_PHASES; ``counters``
+    holds vertices, edges, Bron-Kerbosch expand calls and cliques found.
     """
 
     params: JohnsonParams
@@ -145,6 +184,8 @@ class VerificationReport:
     partition_ok: bool
     max_clique_size_observed: int
     elapsed_seconds: float
+    phase_seconds: dict[str, float]
+    counters: dict[str, int]
     notes: tuple[str, ...]
 
     @property
@@ -159,8 +200,8 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        # elapsed_seconds is deliberately left out: report lines must be
-        # byte-identical across runs.
+        # elapsed_seconds, phase_seconds and counters are deliberately left
+        # out: report lines must be byte-identical across runs.
         return {
             "n": self.params.n,
             "m": self.params.m,
@@ -179,6 +220,17 @@ class VerificationReport:
         }
 
 
+@dataclass(frozen=True)
+class SkippedPair:
+    """A pair that a sweep did not verify, and why."""
+
+    params: JohnsonParams
+    reason: str
+
+    def to_dict(self) -> dict:
+        return {"n": self.params.n, "m": self.params.m, "skipped": self.reason}
+
+
 def _family_covers_each_edge_once(family, edge_keys: set[frozenset[Label]]) -> bool:
     seen: set[frozenset[Label]] = set()
     for h in family:
@@ -192,13 +244,14 @@ def _family_covers_each_edge_once(family, edge_keys: set[frozenset[Label]]) -> b
 
 def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> VerificationReport:
     """Run every closed-form claim for one (n, m) against the oracle."""
-    t0 = time.perf_counter()
-    g = materialize(p, max_vertices)
-    labels = [unrank(r, p.n, p.m) for r in range(g.vertex_count)]
+    marks = [time.perf_counter()]
+    labels, g = _build(p, max_vertices)
+    marks.append(time.perf_counter())
     notes: list[str] = []
     n, m = p.n, p.m
 
-    oracle = maximal_cliques(g)
+    oracle, expand_calls = _bron_kerbosch(g)
+    marks.append(time.perf_counter())
     oracle_sets = [frozenset(labels[i] for i in cl) for cl in oracle]
     max_size = max(len(cl) for cl in oracle)
 
@@ -244,12 +297,12 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
     clique_number_ok = max_size == clique_number(p)
     if not clique_number_ok:
         notes.append(f"observed maximum clique size {max_size}, formula gives {clique_number(p)}")
+    marks.append(time.perf_counter())
 
     edge_keys = {
         frozenset((labels[i], labels[j]))
-        for i in range(g.vertex_count)
-        for j in range(i + 1, g.vertex_count)
-        if g.adjacent(i, j)
+        for i, row in enumerate(g.rows)
+        for j in _mask_vertices(row >> (i + 1) << (i + 1))
     }
     identity_ok = (
         binomial(n, m + 1) * binomial(m + 1, 2)
@@ -261,6 +314,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         edge_law_ok = edge_law_ok and _family_covers_each_edge_once(max_family, edge_keys)
     if not edge_law_ok:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
+    marks.append(time.perf_counter())
 
     if p.degenerate:
         cp_formula = clique_partition_number(p)
@@ -281,6 +335,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         except InternalConsistencyError as exc:
             partition_ok = False
             notes.append(f"partition failed: {exc}")
+    marks.append(time.perf_counter())
 
     return VerificationReport(
         params=p,
@@ -294,7 +349,16 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         edge_law_ok=edge_law_ok,
         partition_ok=partition_ok,
         max_clique_size_observed=max_size,
-        elapsed_seconds=time.perf_counter() - t0,
+        elapsed_seconds=marks[-1] - marks[0],
+        phase_seconds={
+            phase: end - start for phase, start, end in zip(VERIFY_PHASES, marks, marks[1:])
+        },
+        counters={
+            "vertices": g.vertex_count,
+            "edges": len(edge_keys),
+            "expand_calls": expand_calls,
+            "cliques_found": len(oracle),
+        },
         notes=tuple(notes),
     )
 
@@ -304,19 +368,28 @@ def verify_range(
     n_values: Iterable[int],
     jobs: int = 1,
     max_vertices: int = DEFAULT_MATERIALIZE_CAP,
-) -> list[VerificationReport]:
-    """One report per valid (n, m) pair, ordered by (m, n) regardless of jobs."""
+) -> Iterator[VerificationReport | SkippedPair]:
+    """Verify every valid (n, m) pair, yielding each result in (m, n) order as
+    it is ready, whatever ``jobs`` is. A pair over ``max_vertices`` yields a
+    SkippedPair and the sweep goes on."""
     pairs = [
         JohnsonParams(n, m)
         for m in sorted(set(m_values))
         for n in sorted(set(n_values))
         if m >= 2 and m + 1 <= n <= MAX_GROUND_SET
     ]
+    check = partial(_verify_or_skip, max_vertices=max_vertices)
     workers = _worker_count(jobs, len(pairs))
     if workers <= 1:
-        return [verify(p, max_vertices) for p in pairs]
+        yield from map(check, pairs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(verify, max_vertices=max_vertices), pairs))
+        yield from pool.map(check, pairs)
+
+
+def _verify_or_skip(p: JohnsonParams, max_vertices: int) -> VerificationReport | SkippedPair:
+    reason = _over_cap(p, max_vertices)
+    return SkippedPair(p, reason) if reason else verify(p, max_vertices)
 
 
 def _worker_count(jobs: int, pair_count: int) -> int:

@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 import johnson_cliques.cli as cli
-from johnson_cliques import InternalConsistencyError, JohnsonParams, verify
+from johnson_cliques import (
+    InternalConsistencyError,
+    JohnsonParams,
+    SkippedPair,
+    binomial,
+    edge_count,
+    verify,
+)
+from johnson_cliques.oracle import VERIFY_PHASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +226,51 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..4"])
         assert code == 3
         assert json.loads(out.decode())["passed"] is False
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pair_over_the_cap_is_skipped_and_the_sweep_goes_on(self, monkeypatch, jobs):
+        monkeypatch.setenv("JOHNSON_MAX_VERTICES", "20")
+        code, out, err = run_cli(
+            ["verify", "--m-range", "2..3", "--n-range", "6..7", "--jobs", jobs]
+        )
+        assert code == 2
+        lines = out.decode().splitlines()
+        assert len(lines) == 4
+        assert lines[0] == run_cli(["verify", "--m-range", "2..2", "--n-range", "6..6"])[1].decode().strip()
+        assert lines[2] == run_cli(["verify", "--m-range", "3..3", "--n-range", "6..6"])[1].decode().strip()
+        assert json.loads(lines[1]) == {
+            "n": 7,
+            "m": 2,
+            "skipped": "graph has 21 vertices, above the materialization cap 20",
+        }
+        assert json.loads(lines[3])["skipped"].startswith("graph has 35 vertices")
+        assert b"2/4 pairs passed" in err and b"2 skipped" in err
+
+    def test_failed_check_outranks_a_skipped_pair(self, monkeypatch):
+        real = verify(JohnsonParams(4, 2))
+        broken = real.__class__(**{**real.__dict__, "sets_equal": False})
+        skipped = SkippedPair(JohnsonParams(5, 2), "over the cap")
+        monkeypatch.setattr(cli, "verify_range", lambda *a, **k: [skipped, broken])
+        code, out, _ = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..5"])
+        assert code == 3
+        assert len(out.decode().splitlines()) == 2
+
+    def test_timings_go_to_stderr_only(self):
+        argv = ["verify", "--m-range", "2..3", "--n-range", "4..6"]
+        code, plain, _ = run_cli(argv)
+        timed_code, timed, err = run_cli(argv + ["--timings"])
+        assert code == timed_code == 0
+        assert timed == plain
+        reports = [json.loads(line) for line in plain.decode().splitlines()]
+        timings = [json.loads(line) for line in err.decode().splitlines()[:-1]]
+        assert [(t["n"], t["m"]) for t in timings] == [(r["n"], r["m"]) for r in reports]
+        for t, r in zip(timings, reports):
+            p = JohnsonParams(t["n"], t["m"])
+            assert tuple(t["seconds"]) == VERIFY_PHASES
+            assert t["counters"]["vertices"] == binomial(p.n, p.m)
+            assert t["counters"]["edges"] == edge_count(p)
+            assert t["counters"]["cliques_found"] == r["oracle_clique_count"]
+            assert t["counters"]["expand_calls"] >= t["counters"]["cliques_found"]
 
     def test_malformed_range_is_usage_error(self):
         code, _, err = run_cli(["verify", "--m-range", "2-4", "--n-range", "4..6"])

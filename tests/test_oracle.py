@@ -11,7 +11,9 @@ from johnson_cliques import (
     DenseGraph,
     JohnsonParams,
     RangeError,
+    SkippedPair,
     ValidationError,
+    VerificationReport,
     binomial,
     clique_partition,
     edge_count,
@@ -22,7 +24,13 @@ from johnson_cliques import (
     verify_range,
     vertex_count,
 )
-from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS, naive_maximal_cliques, naive_label_cliques
+from helpers import (
+    ACCEPTANCE_PAIRS,
+    DEGENERATE_PAIRS,
+    colex_subsets,
+    naive_label_cliques,
+    naive_maximal_cliques,
+)
 
 
 def assert_all_maximal(g, cliques):
@@ -81,6 +89,17 @@ class TestMaterialize:
         for i, j in combinations(range(g.vertex_count), 2):
             expected = len(set(labels[i]) & set(labels[j])) == 2
             assert g.adjacent(i, j) == expected
+
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
+    def test_swap_build_equals_pairwise_definition(self, n, m):
+        # Row i must hold exactly the labels sharing m-1 elements with
+        # label i, found here by set intersection over every pair.
+        labels = colex_subsets(n, m)
+        g = materialize(JohnsonParams(n, m))
+        assert g.vertex_count == len(labels)
+        for i, a in enumerate(labels):
+            expected = sum(1 << j for j, b in enumerate(labels) if len(set(a) & set(b)) == m - 1)
+            assert g.rows[i] == expected, (n, m, a)
 
 
 class TestMaximalCliques:
@@ -205,6 +224,17 @@ class TestVerify:
         assert not report.partition_ok
         assert not report.passed
 
+    def test_phase_timings_and_counters(self):
+        p = JohnsonParams(6, 3)
+        report = verify(p)
+        assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
+        assert all(s >= 0 for s in report.phase_seconds.values())
+        assert sum(report.phase_seconds.values()) == pytest.approx(report.elapsed_seconds)
+        assert report.counters["vertices"] == vertex_count(p) == 20
+        assert report.counters["edges"] == edge_count(p) == 90
+        assert report.counters["cliques_found"] == report.oracle_clique_count == 30
+        assert report.counters["expand_calls"] >= report.counters["cliques_found"]
+
     def test_report_is_picklable(self):
         report = verify(JohnsonParams(4, 2))
         assert pickle.loads(pickle.dumps(report)) == report
@@ -212,15 +242,40 @@ class TestVerify:
 
 class TestVerifyRange:
     def test_single_m_sweep(self):
-        reports = verify_range([2], range(3, 9))
+        reports = list(verify_range([2], range(3, 9)))
         assert len(reports) == 6
         assert [(r.params.n, r.params.m) for r in reports] == [(n, 2) for n in range(3, 9)]
         assert all(r.passed for r in reports)
 
     def test_empty_range(self):
-        assert verify_range([2], []) == []
-        assert verify_range([], range(3, 9)) == []
-        assert verify_range([2], range(5, 3)) == []
+        assert list(verify_range([2], [])) == []
+        assert list(verify_range([], range(3, 9))) == []
+        assert list(verify_range([2], range(5, 3))) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pairs_over_the_cap_are_skipped(self, jobs):
+        results = list(verify_range([2, 3], [6, 7], jobs=jobs, max_vertices=20))
+        assert [(r.params.n, r.params.m) for r in results] == [(6, 2), (7, 2), (6, 3), (7, 3)]
+        assert [type(r) for r in results] == [
+            VerificationReport,
+            SkippedPair,
+            VerificationReport,
+            SkippedPair,
+        ]
+        assert results[0].passed and results[2].passed
+        assert results[1].to_dict() == {
+            "n": 7,
+            "m": 2,
+            "skipped": "graph has 21 vertices, above the materialization cap 20",
+        }
+
+    def test_results_stream_one_pair_at_a_time(self, monkeypatch):
+        done = []
+        real = oracle.verify
+        monkeypatch.setattr(oracle, "verify", lambda p, cap: done.append(p) or real(p, cap))
+        first = next(verify_range([2], range(3, 9)))
+        assert first.params == JohnsonParams(3, 2)
+        assert done == [JohnsonParams(3, 2)]
 
     def test_invalid_pairs_skipped(self):
         reports = verify_range([2, 3], [3, 4])
