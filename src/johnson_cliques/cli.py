@@ -64,8 +64,8 @@ def _env_cap(default: int) -> int:
         raise ValidationError(f"JOHNSON_MAX_VERTICES must be an integer, got {raw!r}")
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps builds a new encoder on every call with non-default separators.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def build_parser() -> _Parser:
@@ -277,3 +277,7 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:], sys.stdout.buffer, sys.stderr.buffer))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,12 @@
 """The Johnson graph J_n(m, m-1) as an implicit graph.
 
 Vertices are the m-subsets of {1..n}; two vertices are adjacent exactly when
-their labels share m-1 elements. Nothing is stored: adjacency, neighborhoods,
-and the edge stream are computed from labels on demand, so queries work even
-when C(n, m) is far too large to materialize.
+their labels share m-1 elements, i.e. when one label is the other with one
+element swapped for one outside it. Per-label queries (adjacency,
+neighborhoods) store nothing and work even when C(n, m) is far too large to
+materialize. The bulk paths (the edge stream, export and the oracle's dense
+build) hold all C(n, m) labels and their bit masks, and walk the single swaps
+of each label to find its neighbours' ranks.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from .combinat import (
     binomial,
     colex_key,
     format_label,
-    rank,
-    unrank,
+    iter_subsets_colex,
     validate_label,
 )
 from .errors import RangeError, ValidationError
@@ -108,15 +110,44 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     return out
 
 
+def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Iterator[list[int]]]:
+    """The labels in colex order and, lazily, each vertex's neighbour ranks.
+
+    Vertex i's neighbours are labels[i] with one element swapped for one
+    outside it: m(n-m) lookups of bit masks in one mask -> rank dict, yielded
+    as an ascending list. Holds all C(n, m) labels, masks and dict entries up
+    front.
+    """
+    labels = list(iter_subsets_colex(p.n, p.m))
+    bits = [1 << e for e in range(p.n + 1)]
+    masks = [sum(bits[e] for e in label) for label in labels]
+    rank_of = {mask: i for i, mask in enumerate(masks)}
+
+    def neighbour_ranks() -> Iterator[list[int]]:
+        for label, mask in zip(labels, masks):
+            rests = [mask ^ bits[e] for e in label]
+            outside = [bit for bit in bits[1:] if not mask & bit]
+            ranks = [rank_of[rest | bit] for rest in rests for bit in outside]
+            ranks.sort()
+            yield ranks
+
+    return labels, neighbour_ranks()
+
+
 def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
     """All edges exactly once as (u, v) label pairs, sorted by (colex rank
-    of u, colex rank of v)."""
-    for r in range(vertex_count(p)):
-        u = unrank(r, p.n, p.m)
-        ku = colex_key(u)
-        for v in neighbors(u, p):
-            if colex_key(v) > ku:
-                yield u, v
+    of u, colex rank of v).
+
+    Before the first edge it holds all C(n, m) labels, their bit masks and
+    a mask -> rank dict, O(C(n, m)) memory; the edges themselves are
+    streamed.
+    """
+    labels, neighbour_ranks = _swap_walk(p)
+    for i, ranks in enumerate(neighbour_ranks):
+        u = labels[i]
+        for j in ranks:
+            if j > i:
+                yield u, labels[j]
 
 
 def _node_id(label: Label) -> str:
@@ -132,7 +163,10 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAU
       * ``json``     -- ``{"n":..,"m":..,"vertices":[[..],..],"edges":[[i,j],..]}``
                         with vertices in colex order and edges as rank pairs.
 
-    Refuses graphs with more than ``max_vertices`` vertices.
+    Refuses graphs with more than ``max_vertices`` vertices, and unknown
+    formats, before any work. Like edges(), it holds all C(n, m) labels and
+    their bit masks, O(C(n, m)) memory; each label is formatted once, and
+    edgelist and DOT are written one chunk per vertex.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
@@ -140,19 +174,24 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAU
     if nv > max_vertices:
         raise RangeError(f"graph has {nv} vertices, above the export cap {max_vertices}")
 
+    labels, neighbour_ranks = _swap_walk(p)
     if fmt == "edgelist":
-        for u, v in edges(p):
-            sink.write(f"{format_label(u)} -- {format_label(v)}\n".encode())
+        names = [format_label(u) for u in labels]
+        for i, ranks in enumerate(neighbour_ranks):
+            lines = (f"{names[i]} -- {names[j]}\n" for j in ranks if j > i)
+            sink.write("".join(lines).encode())
     elif fmt == "dot":
+        names = [_node_id(u) for u in labels]
         sink.write(f"graph J_{p.n}_{p.m} {{\n".encode())
-        for u, v in edges(p):
-            sink.write(f'  "{_node_id(u)}" -- "{_node_id(v)}";\n'.encode())
+        for i, ranks in enumerate(neighbour_ranks):
+            lines = (f'  "{names[i]}" -- "{names[j]}";\n' for j in ranks if j > i)
+            sink.write("".join(lines).encode())
         sink.write(b"}\n")
     else:
         payload = {
             "n": p.n,
             "m": p.m,
-            "vertices": [list(unrank(r, p.n, p.m)) for r in range(nv)],
-            "edges": [[rank(u, p.n), rank(v, p.n)] for u, v in edges(p)],
+            "vertices": labels,
+            "edges": [[i, j] for i, ranks in enumerate(neighbour_ranks) for j in ranks if j > i],
         }
         sink.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")

@@ -4,9 +4,9 @@ Materializes J_n(m, m-1) as an explicit dense graph, enumerates all maximal
 cliques with pivoted Bron-Kerbosch, and compares what it finds against the
 closed-form enumerations, clique number, and edge partition. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
-The graph is built from single swaps (one element of a label traded for one
-outside it); the tests check it against the pairwise "share m-1 elements"
-definition.
+The graph is built from the single-swap walk that the edge stream and export
+also use (one element of a label traded for one outside it); the tests check
+it against the pairwise "share m-1 elements" definition.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .combinat import MAX_GROUND_SET, Label, binomial, iter_subsets_colex
+from .combinat import MAX_GROUND_SET, Label, binomial
 from .cliques import (
     clique_number,
     clique_partition,
@@ -28,7 +28,7 @@ from .cliques import (
     enumerate_min_cliques,
 )
 from .errors import InternalConsistencyError, RangeError, ValidationError
-from .graph import JohnsonParams, edge_count, vertex_count
+from .graph import JohnsonParams, _swap_walk, edge_count, vertex_count
 
 #: Largest graph verify()/materialize() will build by default.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -81,25 +81,17 @@ def _over_cap(p: JohnsonParams, max_vertices: int) -> str | None:
 
 
 def _build(p: JohnsonParams, max_vertices: int) -> tuple[list[Label], DenseGraph]:
-    """The labels in colex order and the graph whose vertex i is labels[i].
-
-    A label's neighbours are the label with one element swapped for one
-    outside it, so row i takes m(n-m) rank lookups on bit masks.
-    """
+    """The labels in colex order and the graph whose vertex i is labels[i];
+    row i has the bits of vertex i's single-swap neighbour ranks."""
     reason = _over_cap(p, max_vertices)
     if reason:
         raise RangeError(reason)
-    labels = list(iter_subsets_colex(p.n, p.m))
-    masks = [sum(1 << e for e in label) for label in labels]
-    rank_of = {mask: i for i, mask in enumerate(masks)}
+    labels, neighbour_ranks = _swap_walk(p)
     rows = []
-    for label, mask in zip(labels, masks):
-        outside = [1 << e for e in range(1, p.n + 1) if not (mask >> e) & 1]
+    for ranks in neighbour_ranks:
         row = 0
-        for e in label:
-            rest = mask ^ (1 << e)
-            for bit in outside:
-                row |= 1 << rank_of[rest | bit]
+        for j in ranks:
+            row |= 1 << j
         rows.append(row)
     return labels, DenseGraph(len(labels), tuple(rows))
 

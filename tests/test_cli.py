@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,6 +317,26 @@ class TestExitCodes:
         code, _, err = run_cli(["partition", "--n", "4", "--m", "2"])
         assert code == 3
         assert b"internal consistency" in err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["johnson_cliques", "johnson_cliques.cli"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["number", "--n", "5", "--m", "3"],
+            ["adj", "--n", "5", "--m", "3", "{1,2}", "{1,3,4}"],
+        ],
+    )
+    def test_python_dash_m_matches_run(self, module, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60
+        )
+        code, out, err = run_cli(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == (0 if argv[0] == "number" else 2)
 
 
 class TestDeterminismAndRoundTrip:

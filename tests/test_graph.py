@@ -19,7 +19,14 @@ from johnson_cliques import (
     rank,
     vertex_count,
 )
-from helpers import colex_subsets, quadratic_edges, swap_adjacent
+from johnson_cliques.graph import _swap_walk
+from helpers import (
+    ACCEPTANCE_PAIRS,
+    DEGENERATE_PAIRS,
+    colex_subsets,
+    quadratic_edges,
+    swap_adjacent,
+)
 
 
 class TestParams:
@@ -118,6 +125,15 @@ class TestNeighbors:
         with pytest.raises(ValidationError):
             neighbors((1, 5), JohnsonParams(4, 2))
 
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
+    def test_matches_bulk_swap_walk(self, n, m):
+        # the per-query path and the bulk path behind edges()/export/materialize
+        p = JohnsonParams(n, m)
+        labels, neighbour_ranks = _swap_walk(p)
+        assert labels == colex_subsets(n, m)
+        for u, ranks in zip(labels, neighbour_ranks):
+            assert neighbors(u, p) == [labels[j] for j in ranks]
+
 
 class TestEdges:
     def test_triangle(self):
@@ -129,13 +145,11 @@ class TestEdges:
         assert sum(1 for _ in edges(JohnsonParams(n, m))) == edge_count(JohnsonParams(n, m))
 
     def test_matches_quadratic_scan(self):
-        for n, m in [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3), (5, 4), (6, 4)]:
-            labels = colex_subsets(n, m)
-            assert vertex_count(JohnsonParams(n, m)) <= 300
-            expected = {frozenset(pair) for pair in quadratic_edges(labels)}
-            got = list(edges(JohnsonParams(n, m)))
-            assert len(got) == len(set(got))
-            assert {frozenset(pair) for pair in got} == expected
+        # exact list, order included: the scan visits pairs in (colex rank,
+        # colex rank) order
+        for n, m in ACCEPTANCE_PAIRS + DEGENERATE_PAIRS:
+            expected = quadratic_edges(colex_subsets(n, m))
+            assert list(edges(JohnsonParams(n, m))) == expected, (n, m)
 
     def test_canonical_order(self):
         p = JohnsonParams(5, 3)
@@ -200,6 +214,30 @@ class TestExport:
     def test_cap_enforced(self):
         with pytest.raises(RangeError):
             export(JohnsonParams(9, 4), "edgelist", io.BytesIO(), max_vertices=100)
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])
+    @pytest.mark.parametrize("n,m", [(8, 3), (9, 4)])
+    def test_bytes_match_quadratic_scan(self, n, m, fmt):
+        labels = colex_subsets(n, m)
+        pairs = quadratic_edges(labels)
+        if fmt == "edgelist":
+            text = "".join(
+                "{%s} -- {%s}\n" % (",".join(map(str, a)), ",".join(map(str, b))) for a, b in pairs
+            )
+        elif fmt == "dot":
+            body = "".join(
+                '  "%s" -- "%s";\n' % ("_".join(map(str, a)), "_".join(map(str, b)))
+                for a, b in pairs
+            )
+            text = "graph J_%d_%d {\n%s}\n" % (n, m, body)
+        else:
+            index = {label: i for i, label in enumerate(labels)}
+            vertices = ",".join("[%s]" % ",".join(map(str, a)) for a in labels)
+            edge_text = ",".join("[%d,%d]" % (index[a], index[b]) for a, b in pairs)
+            text = '{"n":%d,"m":%d,"vertices":[%s],"edges":[%s]}\n' % (n, m, vertices, edge_text)
+        sink = io.BytesIO()
+        export(JohnsonParams(n, m), fmt, sink)
+        assert sink.getvalue() == text.encode()
 
     def test_deterministic(self):
         a, b = io.BytesIO(), io.BytesIO()
