@@ -85,7 +85,9 @@ class MaximalClique:
     def members(self) -> tuple[Label, ...]:
         """The member labels, in colex order."""
         if self.kind is CliqueClass.MIN:
-            return tuple(sorted(combinations(self.defining_set, self.params.m), key=colex_key))
+            # combinations() over the sorted B is already colex: both orders
+            # go by the omitted element, largest first.
+            return tuple(combinations(self.defining_set, self.params.m))
         core = set(self.defining_set)
         return tuple(
             tuple(sorted(core | {x}))
@@ -163,7 +165,7 @@ class CliquePartition:
     @property
     def covered_edge_count(self) -> int:
         """Edges covered by the parts: each part is a clique of one common size."""
-        return len(self.parts) * binomial(self.parts[0].size, 2)
+        return len(self.parts) * binomial(self.parts[0].size, 2) if self.parts else 0
 
     def to_dict(self) -> dict:
         return {"cp": len(self.parts), "parts": [h.to_dict() for h in self.parts]}

@@ -140,14 +140,22 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
 
     Before the first edge it holds all C(n, m) labels, their bit masks and
     a mask -> rank dict, O(C(n, m)) memory; the edges themselves are
-    streamed.
+    streamed. So, like export(), it refuses graphs with more than
+    DEFAULT_EXPORT_CAP vertices (RangeError) before it lists any label.
     """
+    _check_export_cap(p, DEFAULT_EXPORT_CAP)
     labels, neighbour_ranks = _swap_walk(p)
     for i, ranks in enumerate(neighbour_ranks):
         u = labels[i]
         for j in ranks:
             if j > i:
                 yield u, labels[j]
+
+
+def _check_export_cap(p: JohnsonParams, max_vertices: int) -> None:
+    nv = vertex_count(p)
+    if nv > max_vertices:
+        raise RangeError(f"graph has {nv} vertices, above the export cap {max_vertices}")
 
 
 def _node_id(label: Label) -> str:
@@ -170,10 +178,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAU
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    nv = vertex_count(p)
-    if nv > max_vertices:
-        raise RangeError(f"graph has {nv} vertices, above the export cap {max_vertices}")
-
+    _check_export_cap(p, max_vertices)
     labels, neighbour_ranks = _swap_walk(p)
     if fmt == "edgelist":
         names = [format_label(u) for u in labels]

@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .combinat import MAX_GROUND_SET, Label, binomial
@@ -223,15 +222,16 @@ class SkippedPair:
         return {"n": self.params.n, "m": self.params.m, "skipped": self.reason}
 
 
-def _family_covers_each_edge_once(family, edge_keys: set[frozenset[Label]]) -> bool:
-    seen: set[frozenset[Label]] = set()
-    for h in family:
-        for a, b in combinations(h.members(), 2):
-            key = frozenset((a, b))
-            if key in seen:
+def _covers_each_edge_once(masks: Iterable[int], rows: tuple[int, ...]) -> bool:
+    """Whether the cliques with these vertex masks cover every edge of the
+    graph with adjacency ``rows`` exactly once, and no non-edge pair."""
+    cover = [0] * len(rows)
+    for mask in masks:
+        for i in _mask_vertices(mask):
+            if cover[i] & mask:
                 return False
-            seen.add(key)
-    return seen == edge_keys
+            cover[i] |= mask ^ (1 << i)
+    return cover == list(rows)
 
 
 def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> VerificationReport:
@@ -244,16 +244,16 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
 
     oracle, expand_calls = _bron_kerbosch(g)
     marks.append(time.perf_counter())
-    oracle_sets = [frozenset(labels[i] for i in cl) for cl in oracle]
     max_size = max(len(cl) for cl in oracle)
 
     intersection_sizes_ok = True
     size_laws_ok = True
-    for cl in oracle_sets:
-        inter = set.intersection(*(set(lab) for lab in cl))
+    for cl in oracle:
+        members = [labels[i] for i in cl]
+        inter = set.intersection(*(set(lab) for lab in members))
         if len(inter) not in (0, m - 1):
             intersection_sizes_ok = False
-            notes.append(f"clique {sorted(cl)} has intersection size {len(inter)}")
+            notes.append(f"clique {sorted(members)} has intersection size {len(inter)}")
             continue
         expected = m + 1 if len(inter) == 0 else n - m + 1
         if len(cl) != expected:
@@ -262,23 +262,28 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
                 f"clique with intersection size {len(inter)} has {len(cl)} members, expected {expected}"
             )
 
-    min_family = list(enumerate_min_cliques(p))
-    closed_min = {frozenset(h.members()) for h in min_family}
+    # Closed-form members reach the rows only through the oracle's own labels.
+    rank_of = {label: i for i, label in enumerate(labels)}
+
+    def masks_of(family) -> list[int]:
+        return [sum(1 << rank_of[lab] for lab in h.members()) for h in family]
+
+    min_masks = masks_of(enumerate_min_cliques(p))
     if p.degenerate:
-        max_family = []
-        closed_max: set[frozenset[Label]] = set()
+        max_masks: list[int] = []
         notes.append(
             "degenerate regime (n == m+1): the graph is complete, the sole maximal "
             "clique is the class-min one, and the class-max family is inapplicable"
         )
     else:
-        max_family = list(enumerate_max_cliques(p))
-        closed_max = {frozenset(h.members()) for h in max_family}
+        max_masks = masks_of(enumerate_max_cliques(p))
+    closed_min, closed_max = set(min_masks), set(max_masks)
     if closed_min & closed_max:
         notes.append("class-min and class-max families overlap; they must be disjoint")
     closed = closed_min | closed_max
     closed_form_count = len(closed)
-    sets_equal = set(oracle_sets) == closed and len(oracle_sets) == closed_form_count
+    oracle_masks = {sum(1 << i for i in cl) for cl in oracle}
+    sets_equal = oracle_masks == closed and len(oracle) == closed_form_count
     if len(closed_min) != binomial(n, m + 1):
         sets_equal = False
         notes.append(f"class-min family has {len(closed_min)} cliques, expected C({n},{m + 1})")
@@ -291,27 +296,21 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         notes.append(f"observed maximum clique size {max_size}, formula gives {clique_number(p)}")
     marks.append(time.perf_counter())
 
-    edge_keys = {
-        frozenset((labels[i], labels[j]))
-        for i, row in enumerate(g.rows)
-        for j in _mask_vertices(row >> (i + 1) << (i + 1))
-    }
     identity_ok = (
         binomial(n, m + 1) * binomial(m + 1, 2)
         == edge_count(p)
         == binomial(n, m - 1) * binomial(n - m + 1, 2)
     )
-    edge_law_ok = identity_ok and _family_covers_each_edge_once(min_family, edge_keys)
+    edge_law_ok = identity_ok and _covers_each_edge_once(min_masks, g.rows)
     if not p.degenerate:
-        edge_law_ok = edge_law_ok and _family_covers_each_edge_once(max_family, edge_keys)
+        edge_law_ok = edge_law_ok and _covers_each_edge_once(max_masks, g.rows)
     if not edge_law_ok:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
     if p.degenerate:
         cp_formula = clique_partition_number(p)
-        whole = tuple(range(g.vertex_count))
-        partition_ok = oracle == [whole] and g.edge_total() == edge_count(p)
+        partition_ok = _covers_each_edge_once([(1 << g.vertex_count) - 1], g.rows)
         notes.append(
             f"degenerate regime: the partition formula gives {cp_formula} (one part per edge) "
             f"but the whole graph is a single clique covering every edge, so the true minimum is 1"
@@ -322,7 +321,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
             partition_ok = (
                 len(part.parts) == clique_partition_number(p)
                 and part.covered_edge_count == edge_count(p)
-                and _family_covers_each_edge_once(part.parts, edge_keys)
+                and _covers_each_edge_once(masks_of(part.parts), g.rows)
             )
         except InternalConsistencyError as exc:
             partition_ok = False
@@ -347,7 +346,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         },
         counters={
             "vertices": g.vertex_count,
-            "edges": len(edge_keys),
+            "edges": g.edge_total(),
             "expand_calls": expand_calls,
             "cliques_found": len(oracle),
         },

@@ -372,6 +372,7 @@ GOLDEN_CASES = [
     ("j_5_3.edgelist", ["gen", "--n", "5", "--m", "3", "--format", "edgelist"]),
     ("j_5_3.json", ["gen", "--n", "5", "--m", "3", "--format", "json"]),
     ("j_5_3.cliques.jsonl", ["cliques", "--n", "5", "--m", "3", "--class", "all"]),
+    ("verify_m2-4_n3-9.jsonl", ["verify", "--m-range", "2..4", "--n-range", "3..9"]),
 ]
 
 

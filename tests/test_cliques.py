@@ -10,6 +10,7 @@ from johnson_cliques import (
     ClassificationKind,
     Clique,
     CliqueClass,
+    CliquePartition,
     JohnsonParams,
     MaximalClique,
     RegimeError,
@@ -18,6 +19,7 @@ from johnson_cliques import (
     clique_number,
     clique_partition,
     clique_partition_number,
+    colex_key,
     edge_count,
     enumerate_max_cliques,
     enumerate_min_cliques,
@@ -30,7 +32,14 @@ from johnson_cliques import (
     union_of,
     unrank,
 )
-from helpers import colex_subsets, naive_label_cliques, quadratic_edges, swap_adjacent
+from helpers import (
+    ACCEPTANCE_PAIRS,
+    DEGENERATE_PAIRS,
+    colex_subsets,
+    naive_label_cliques,
+    quadratic_edges,
+    swap_adjacent,
+)
 
 J42 = JohnsonParams(4, 2)
 J53 = JohnsonParams(5, 3)
@@ -119,6 +128,10 @@ class TestMaximalCliqueType:
         h = MaximalClique(J53, CliqueClass.MIN, (1, 2, 3, 5))
         assert members_of(h) == ((1, 2, 3), (1, 2, 5), (1, 3, 5), (2, 3, 5))
         assert h.size == 4
+        for n, m in ACCEPTANCE_PAIRS + DEGENERATE_PAIRS:
+            for clique in enumerate_min_cliques(JohnsonParams(n, m)):
+                expected = tuple(sorted(combinations(clique.defining_set, m), key=colex_key))
+                assert clique.members() == expected, (n, m, clique.defining_set)
 
     def test_members_of_max(self):
         h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
@@ -389,6 +402,9 @@ class TestPartition:
     def test_degenerate_rejected(self):
         with pytest.raises(RegimeError):
             clique_partition(JohnsonParams(3, 2))
+
+    def test_no_parts_cover_no_edges(self):
+        assert CliquePartition(()).covered_edge_count == 0
 
     def test_serialization(self):
         d = clique_partition(J42).to_dict()

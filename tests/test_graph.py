@@ -19,6 +19,7 @@ from johnson_cliques import (
     rank,
     vertex_count,
 )
+import johnson_cliques.graph as graph
 from johnson_cliques.graph import _swap_walk
 from helpers import (
     ACCEPTANCE_PAIRS,
@@ -156,6 +157,13 @@ class TestEdges:
         seen = [(rank(u, 5), rank(v, 5)) for u, v in edges(p)]
         assert all(i < j for i, j in seen)
         assert seen == sorted(seen)
+
+    def test_export_cap_enforced_before_any_label(self, monkeypatch):
+        monkeypatch.setattr(graph, "DEFAULT_EXPORT_CAP", 10)
+        assert next(edges(JohnsonParams(5, 2))) == ((1, 2), (1, 3))  # 10 vertices
+        monkeypatch.setattr(graph, "_swap_walk", lambda p: pytest.fail("labels listed"))
+        with pytest.raises(RangeError, match="20 vertices, above the export cap 10"):
+            next(edges(JohnsonParams(6, 3)))
 
 
 class TestEdgeType:

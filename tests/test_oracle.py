@@ -102,6 +102,35 @@ class TestMaterialize:
             assert g.rows[i] == expected, (n, m, a)
 
 
+TRIANGLE = DenseGraph(3, (0b110, 0b101, 0b011))
+# Vertices i and 5 - i are the octahedron's only non-adjacent pairs.
+OCTAHEDRON = DenseGraph(6, tuple(0b111111 & ~(1 << i) & ~(1 << (5 - i)) for i in range(6)))
+# One triangle per antipodal choice that the class-min family of J(4,2) makes.
+OCTAHEDRON_PARTITION = [0b000111, 0b011001, 0b101010, 0b110100]
+
+
+class TestCoversEachEdgeOnce:
+    def test_exact_covers_pass(self):
+        assert oracle._covers_each_edge_once([0b111], TRIANGLE.rows)
+        assert oracle._covers_each_edge_once([0b011, 0b101, 0b110], TRIANGLE.rows)
+        assert oracle._covers_each_edge_once(OCTAHEDRON_PARTITION, OCTAHEDRON.rows)
+        edge_pairs = [(1 << i) | (1 << j) for i, j in combinations(range(6), 2) if i + j != 5]
+        assert oracle._covers_each_edge_once(edge_pairs, OCTAHEDRON.rows)
+
+    def test_missing_edge_fails(self):
+        assert not oracle._covers_each_edge_once([0b011, 0b101], TRIANGLE.rows)
+        assert not oracle._covers_each_edge_once(OCTAHEDRON_PARTITION[1:], OCTAHEDRON.rows)
+
+    def test_edge_covered_twice_fails(self):
+        assert not oracle._covers_each_edge_once([0b111, 0b011], TRIANGLE.rows)
+        twice = OCTAHEDRON_PARTITION + [0b000011]
+        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON.rows)
+
+    def test_non_edge_pair_fails(self):
+        non_edge = OCTAHEDRON_PARTITION + [0b100001]
+        assert not oracle._covers_each_edge_once(non_edge, OCTAHEDRON.rows)
+
+
 class TestMaximalCliques:
     def test_complete_triangle(self):
         g = DenseGraph(3, (0b110, 0b101, 0b011))
@@ -223,6 +252,27 @@ class TestVerify:
         report = verify(JohnsonParams(5, 3))
         assert not report.partition_ok
         assert not report.passed
+
+    @pytest.mark.parametrize("family", ["enumerate_min_cliques", "enumerate_max_cliques"])
+    def test_dropped_clique_is_reported(self, monkeypatch, family):
+        real = getattr(oracle, family)
+        monkeypatch.setattr(oracle, family, lambda p: list(real(p))[1:])
+        report = verify(JohnsonParams(5, 3))
+        assert not report.sets_equal
+        assert not report.edge_law_ok
+        assert not report.passed
+
+    @pytest.mark.parametrize("family", ["enumerate_min_cliques", "enumerate_max_cliques"])
+    def test_duplicated_clique_is_reported(self, monkeypatch, family):
+        # The duplicate leaves the set of cliques and its size unchanged;
+        # only the edge law sees that its edges are covered twice.
+        real = getattr(oracle, family)
+        monkeypatch.setattr(oracle, family, lambda p: [*real(p), next(real(p))])
+        report = verify(JohnsonParams(5, 3))
+        assert report.sets_equal
+        assert not report.edge_law_ok
+        assert not report.passed
+        assert "edge law failed: some edge is not in exactly one clique per class" in report.notes
 
     def test_phase_timings_and_counters(self):
         p = JohnsonParams(6, 3)
