@@ -1,10 +1,10 @@
 """Command-line front end.
 
 All machine output goes to stdout as JSON or the fixed edgelist/DOT formats;
-human-readable messages go to stderr. Exit codes: 0 success, 1 usage error,
-2 validation error (bad labels, bad parameters, regime errors) or a verify
-pair skipped over the vertex cap, 3 internal consistency failure or a failed
-verification check.
+human-readable messages go to stderr. Exit codes: 0 success, 1 usage error
+or a ``gen --out`` file that cannot be opened, 2 validation error (bad labels,
+bad parameters, regime errors) or a verify pair skipped over the vertex cap,
+3 internal consistency failure or a failed verification check.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ import os
 import re
 import sys
 import time
-from typing import BinaryIO
+from itertools import chain, islice
+from typing import BinaryIO, Iterable
 
+from . import graph
 from .cliques import (
     Clique,
     ClassificationKind,
+    MaximalClique,
     classify,
     clique_number,
     clique_partition,
@@ -31,7 +34,7 @@ from .cliques import (
 )
 from .combinat import MAX_GROUND_SET, parse_label, validate_label
 from .errors import InternalConsistencyError, ValidationError
-from .graph import DEFAULT_EXPORT_CAP, JohnsonParams, are_adjacent, export
+from .graph import JohnsonParams, are_adjacent, export
 from .oracle import DEFAULT_MATERIALIZE_CAP, SkippedPair, verify_range
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)\Z")
@@ -66,6 +69,27 @@ def _env_cap(default: int) -> int:
 
 # json.dumps builds a new encoder on every call with non-default separators.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Lines per write in _write_lines: about 200 KB of clique lines at J(22,4).
+_CHUNK_LINES = 4096
+
+
+def _clique_json(h: MaximalClique) -> str:
+    """The bytes of ``_dumps(h.to_dict())``, by string formatting alone."""
+    p = h.params
+    return (
+        f'{{"class":"{h.kind.value}","set":[{",".join(map(str, h.defining_set))}],'
+        f'"n":{p.n},"m":{p.m},"size":{h.size}}}'
+    )
+
+
+def _write_lines(tout, lines: Iterable[str], sep: str) -> None:
+    """Write ``lines`` separated by ``sep``, one write per _CHUNK_LINES lines."""
+    lines = iter(lines)
+    lead = ""
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        tout.write(lead + sep.join(chunk))
+        lead = sep
 
 
 def build_parser() -> _Parser:
@@ -127,12 +151,19 @@ def build_parser() -> _Parser:
 
 def _cmd_gen(args, out: BinaryIO, tout, terr) -> int:
     params = JohnsonParams(args.n, args.m)
-    cap = _env_cap(DEFAULT_EXPORT_CAP)
-    if args.out:
-        with open(args.out, "wb") as sink:
-            export(params, args.format, sink, max_vertices=cap)
-    else:
+    cap = _env_cap(graph.DEFAULT_EXPORT_CAP)
+    if not args.out:
         export(params, args.format, out, max_vertices=cap)
+        return 0
+    # Refuse an over-cap graph before open() truncates the file.
+    graph._check_export_cap(params, cap)
+    try:
+        sink = open(args.out, "wb")
+    except OSError as exc:
+        terr.write(f"error: cannot open --out file: {exc}\n")
+        return 1
+    with sink:
+        export(params, args.format, sink, max_vertices=cap)
     return 0
 
 
@@ -157,9 +188,9 @@ def _cmd_cliques(args, out, tout, terr) -> int:
         streams = [enumerate_min_cliques(params)]
     else:
         streams = [enumerate_min_cliques(params), enumerate_max_cliques(params)]
-    for stream in streams:
-        for h in stream:
-            tout.write(_dumps(h.to_dict()) + "\n")
+    # Both families are non-empty, so the stream has at least one line.
+    _write_lines(tout, map(_clique_json, chain(*streams)), "\n")
+    tout.write("\n")
     return 0
 
 
@@ -188,8 +219,10 @@ def _cmd_extend(args, out, tout, terr) -> int:
 
 
 def _cmd_partition(args, out, tout, terr) -> int:
-    params = JohnsonParams(args.n, args.m)
-    tout.write(_dumps(clique_partition(params).to_dict()) + "\n")
+    parts = clique_partition(JohnsonParams(args.n, args.m)).parts
+    tout.write(f'{{"cp":{len(parts)},"parts":[')
+    _write_lines(tout, map(_clique_json, parts), ",")
+    tout.write("]}\n")
     return 0
 
 

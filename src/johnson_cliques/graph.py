@@ -162,7 +162,7 @@ def _node_id(label: Label) -> str:
     return "_".join(str(e) for e in label)
 
 
-def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAULT_EXPORT_CAP) -> None:
+def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None = None) -> None:
     """Write the whole graph to ``sink`` as UTF-8 bytes.
 
     Formats:
@@ -171,14 +171,15 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int = DEFAU
       * ``json``     -- ``{"n":..,"m":..,"vertices":[[..],..],"edges":[[i,j],..]}``
                         with vertices in colex order and edges as rank pairs.
 
-    Refuses graphs with more than ``max_vertices`` vertices, and unknown
+    Refuses graphs with more than ``max_vertices`` vertices (default:
+    DEFAULT_EXPORT_CAP, read at call time as edges() does), and unknown
     formats, before any work. Like edges(), it holds all C(n, m) labels and
     their bit masks, O(C(n, m)) memory; each label is formatted once, and
     edgelist and DOT are written one chunk per vertex.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    _check_export_cap(p, max_vertices)
+    _check_export_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices)
     labels, neighbour_ranks = _swap_walk(p)
     if fmt == "edgelist":
         names = [format_label(u) for u in labels]

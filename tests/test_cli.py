@@ -14,10 +14,14 @@ from johnson_cliques import (
     JohnsonParams,
     SkippedPair,
     binomial,
+    clique_partition,
     edge_count,
+    enumerate_max_cliques,
+    enumerate_min_cliques,
     verify,
 )
 from johnson_cliques.oracle import VERIFY_PHASES
+from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +64,27 @@ class TestGen:
         monkeypatch.setenv("JOHNSON_MAX_VERTICES", "lots")
         code, _, err = run_cli(["gen", "--n", "4", "--m", "2", "--format", "edgelist"])
         assert code == 2
+
+    def test_over_cap_out_file_is_left_untouched(self, tmp_path):
+        target = tmp_path / "f.json"
+        target.write_bytes(b"earlier output\n")
+        code, out, err = run_cli(
+            ["gen", "--n", "40", "--m", "20", "--format", "json", "--out", str(target)]
+        )
+        assert code == 2
+        assert out == b""
+        assert b"export cap" in err
+        assert target.read_bytes() == b"earlier output\n"
+
+    def test_out_file_in_missing_directory_is_a_one_line_error(self, tmp_path):
+        target = tmp_path / "missing" / "graph.dot"
+        code, out, err = run_cli(
+            ["gen", "--n", "4", "--m", "2", "--format", "dot", "--out", str(target)]
+        )
+        assert code == 1
+        assert out == b""
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+        assert not target.parent.exists()
 
 
 class TestAdj:
@@ -115,6 +140,52 @@ class TestCliques:
             "m": 3,
             "size": 4,
         }
+
+
+def _expected_stream(argv):
+    """(exit code, stdout) that a cliques or partition command must give,
+    built from the library's dict form and the standard JSON encoder."""
+    p = JohnsonParams(int(argv[2]), int(argv[4]))
+
+    def line(h):
+        return json.dumps(h.to_dict(), separators=(",", ":")) + "\n"
+
+    if argv[0] == "partition":
+        if p.degenerate:
+            return 2, b""
+        return 0, json.dumps(clique_partition(p).to_dict(), separators=(",", ":")).encode() + b"\n"
+    clique_class = argv[6]
+    if clique_class == "max" and p.degenerate:
+        return 2, b""
+    hs = []
+    if clique_class in ("min", "all"):
+        hs += enumerate_min_cliques(p)
+    if clique_class == "max" or (clique_class == "all" and not p.degenerate):
+        hs += enumerate_max_cliques(p)
+    return 0, "".join(map(line, hs)).encode()
+
+
+STREAM_PAIRS = ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(16, 4)]
+
+
+class TestStreamBytes:
+    @pytest.mark.parametrize("n,m", STREAM_PAIRS)
+    @pytest.mark.parametrize("clique_class", ["min", "max", "all"])
+    def test_cliques_equal_encoded_dicts(self, n, m, clique_class):
+        argv = ["cliques", "--n", str(n), "--m", str(m), "--class", clique_class]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == _expected_stream(argv)
+
+    @pytest.mark.parametrize("n,m", STREAM_PAIRS)
+    def test_partition_equals_encoded_dict(self, n, m):
+        argv = ["partition", "--n", str(n), "--m", str(m)]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == _expected_stream(argv)
+
+    def test_j_16_4_spans_more_than_one_chunk(self):
+        p = JohnsonParams(16, 4)
+        assert len(clique_partition(p).parts) == 4368 > cli._CHUNK_LINES
+        assert binomial(16, 5) + binomial(16, 3) == 4928 > cli._CHUNK_LINES
 
 
 class TestClassify:
@@ -373,6 +444,8 @@ GOLDEN_CASES = [
     ("j_5_3.json", ["gen", "--n", "5", "--m", "3", "--format", "json"]),
     ("j_5_3.cliques.jsonl", ["cliques", "--n", "5", "--m", "3", "--class", "all"]),
     ("verify_m2-4_n3-9.jsonl", ["verify", "--m-range", "2..4", "--n-range", "3..9"]),
+    ("j_5_3.partition.json", ["partition", "--n", "5", "--m", "3"]),
+    ("j_6_3.partition.json", ["partition", "--n", "6", "--m", "3"]),
 ]
 
 

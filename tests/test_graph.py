@@ -166,6 +166,14 @@ class TestEdges:
             next(edges(JohnsonParams(6, 3)))
 
 
+    def test_export_reads_the_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(graph, "DEFAULT_EXPORT_CAP", 10)
+        sink = io.BytesIO()
+        with pytest.raises(RangeError, match="20 vertices, above the export cap 10"):
+            export(JohnsonParams(6, 3), "edgelist", sink)
+        assert sink.getvalue() == b""
+
+
 class TestEdgeType:
     def test_endpoints_normalized(self):
         e = Edge((1, 3), (1, 2))
