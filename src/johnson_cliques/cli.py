@@ -62,9 +62,12 @@ def _env_cap(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValidationError(f"JOHNSON_MAX_VERTICES must be an integer, got {raw!r}")
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"JOHNSON_MAX_VERTICES must be a positive integer, got {raw!r}")
+    return cap
 
 
 # json.dumps builds a new encoder on every call with non-default separators.
@@ -247,6 +250,8 @@ def _cmd_number(args, out, tout, terr) -> int:
 
 
 def _cmd_verify(args, out, tout, terr) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cap = _env_cap(DEFAULT_MATERIALIZE_CAP)
     start = time.perf_counter()
     total = passed = skipped = 0

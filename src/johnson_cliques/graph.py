@@ -96,17 +96,36 @@ def are_adjacent(u: Label, v: Label) -> bool:
 def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     """The m*(n-m) labels adjacent to ``u``, in colex order.
 
-    Each neighbor swaps one element of ``u`` for one element outside it.
+    Each neighbor swaps one element x of ``u`` for one element y outside it.
+    Colex order on m-sets is the numeric order of their bit masks, so the
+    output order is known up front and each neighbor is built once, by
+    slicing ``u``, with no sort. First the swaps with y < x, which precede
+    ``u``: x descending, then y ascending. Then the swaps with y > x, which
+    follow ``u``: y ascending, then x descending.
     """
     validate_label(u, p.n, p.m)
-    inside = set(u)
+    m = len(u)
+    bounds = (0, *u, p.n + 1)
+    # gaps[k]: the elements outside u that sort between u[k-1] and u[k], so
+    # that y in gaps[k] is inserted at index k.
+    gaps = [
+        (k, range(bounds[k] + 1, bounds[k + 1]))
+        for k in range(m + 1)
+        if bounds[k + 1] > bounds[k] + 1
+    ]
     out: list[Label] = []
-    for y in range(1, p.n + 1):
-        if y in inside:
-            continue
-        for x in u:
-            out.append(tuple(sorted((inside - {x}) | {y})))
-    out.sort(key=colex_key)
+    for i in range(m - 1, -1, -1):
+        tail = u[i + 1 :]
+        for k, ys in gaps:
+            if k > i:
+                break
+            head, rest = u[:k], u[k:i] + tail
+            out += [head + (y,) + rest for y in ys]
+    for k, ys in gaps:
+        heads = [u[:i] + u[i + 1 : k] for i in range(k - 1, -1, -1)]
+        for y in ys:
+            tail = (y,) + u[k:]
+            out += [head + tail for head in heads]
     return out
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
@@ -374,6 +373,9 @@ def verify_range(
     if workers <= 1:
         yield from map(check, pairs)
         return
+    # Imported here: the pool pulls in multiprocessing, which only jobs > 1 uses.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(check, pairs)
 

@@ -37,6 +37,19 @@ def swap_adjacent(a, b):
     return len(set(a) & set(b)) == len(a) - 1
 
 
+def swap_neighbors(u, n):
+    """Every label with one element of ``u`` swapped for one of 1..n outside
+    it, each built as a sorted tuple, in colex order."""
+    inside = set(u)
+    swaps = [
+        tuple(sorted((inside - {x}) | {y}))
+        for x in u
+        for y in range(1, n + 1)
+        if y not in inside
+    ]
+    return sorted(swaps, key=lambda s: tuple(reversed(s)))
+
+
 def quadratic_edges(labels):
     """Every unordered adjacent pair, by scanning all label pairs."""
     return [

@@ -65,6 +65,13 @@ class TestGen:
         code, _, err = run_cli(["gen", "--n", "4", "--m", "2", "--format", "edgelist"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_env_cap_below_1_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("JOHNSON_MAX_VERTICES", value)
+        code, out, err = run_cli(["gen", "--n", "4", "--m", "2", "--format", "edgelist"])
+        assert (code, out) == (2, b"")
+        assert b"JOHNSON_MAX_VERTICES must be a positive integer" in err
+
     def test_over_cap_out_file_is_left_untouched(self, tmp_path):
         target = tmp_path / "f.json"
         target.write_bytes(b"earlier output\n")
@@ -356,6 +363,21 @@ class TestVerify:
         assert code == 2
         assert b"cap" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_env_cap_below_1_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("JOHNSON_MAX_VERTICES", value)
+        code, out, err = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..4"])
+        assert (code, out) == (2, b"")
+        assert b"JOHNSON_MAX_VERTICES must be a positive integer" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_is_usage_error(self, jobs):
+        code, out, err = run_cli(
+            ["verify", "--m-range", "2..2", "--n-range", "4..4", "--jobs", jobs]
+        )
+        assert (code, out) == (1, b"")
+        assert b"usage error: --jobs must be at least 1" in err
+
     def test_full_range_sweep_passes(self):
         code, out, _ = run_cli(["verify", "--m-range", "2..4", "--n-range", "4..9"])
         assert code == 0
@@ -408,6 +430,20 @@ class TestModuleEntryPoint:
         code, out, err = run_cli(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == (0 if argv[0] == "number" else 2)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # Only verify --jobs K with K > 1 needs multiprocessing, which pulls
+        # in about 36 modules that every other command would load for nothing.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        probe = (
+            "import sys, johnson_cliques.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
 
 class TestDeterminismAndRoundTrip:

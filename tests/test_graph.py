@@ -27,7 +27,18 @@ from helpers import (
     colex_subsets,
     quadratic_edges,
     swap_adjacent,
+    swap_neighbors,
 )
+
+# The clique-queries bench sizes, plus the extreme label sizes at n = 62.
+QUERY_SIZES = [(24, 6), (48, 12), (62, 31), (62, 2), (62, 61)]
+
+
+@st.composite
+def query_labels(draw):
+    n, m = draw(st.sampled_from(QUERY_SIZES))
+    order = draw(st.permutations(range(1, n + 1)))
+    return n, m, tuple(sorted(order[:m]))
 
 
 class TestParams:
@@ -134,6 +145,22 @@ class TestNeighbors:
         assert labels == colex_subsets(n, m)
         for u, ranks in zip(labels, neighbour_ranks):
             assert neighbors(u, p) == [labels[j] for j in ranks]
+
+    @given(query_labels())
+    def test_matches_definition_at_query_sizes(self, case):
+        n, m, u = case
+        assert neighbors(u, JohnsonParams(n, m)) == swap_neighbors(u, n)
+
+    @pytest.mark.parametrize("n,m", QUERY_SIZES)
+    def test_matches_definition_at_labels_holding_1_or_n(self, n, m):
+        p = JohnsonParams(n, m)
+        for u in [
+            tuple(range(1, m + 1)),
+            tuple(range(n - m + 1, n + 1)),
+            (1, *range(n - m + 2, n + 1)),
+            (*range(1, m), n),
+        ]:
+            assert neighbors(u, p) == swap_neighbors(u, n), u
 
 
 class TestEdges:
