@@ -17,22 +17,22 @@ import re
 import sys
 import time
 from itertools import chain, islice
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from . import graph
 from .cliques import (
     Clique,
     ClassificationKind,
-    MaximalClique,
+    CliqueClass,
+    _check_partition,
+    _class_shape,
+    _partition_class,
     classify,
     clique_number,
-    clique_partition,
     clique_partition_number,
-    enumerate_max_cliques,
-    enumerate_min_cliques,
     extend_to_maximal,
 )
-from .combinat import MAX_GROUND_SET, parse_label, validate_label
+from .combinat import MAX_GROUND_SET, iter_subsets_colex, parse_label, validate_label
 from .errors import InternalConsistencyError, ValidationError
 from .graph import JohnsonParams, are_adjacent, export
 from .oracle import DEFAULT_MATERIALIZE_CAP, SkippedPair, verify_range
@@ -77,22 +77,39 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _CHUNK_LINES = 4096
 
 
-def _clique_json(h: MaximalClique) -> str:
-    """The bytes of ``_dumps(h.to_dict())``, by string formatting alone."""
-    p = h.params
-    return (
-        f'{{"class":"{h.kind.value}","set":[{",".join(map(str, h.defining_set))}],'
-        f'"n":{p.n},"m":{p.m},"size":{h.size}}}'
-    )
+def _family_lines(p: JohnsonParams, kind: CliqueClass) -> Iterator[str]:
+    """The bytes of ``_dumps(h.to_dict())`` for each clique h of the
+    class-``kind`` family, in colex order of the defining sets.
+
+    Colex order runs over the least element fastest, so each line is a
+    precomputed head ``{"class":..,"set":[a,`` for the least element a, plus
+    the text of the k-1 largest elements and the fixed tail, which is joined
+    once per run of least elements.
+    """
+    k, size = _class_shape(p, kind)
+    head = f'{{"class":"{kind.value}","set":['
+    tail = f'],"n":{p.n},"m":{p.m},"size":{size}}}'
+    sep = "," if k > 1 else ""
+    heads = [f"{head}{a}{sep}" for a in range(1, p.n + 1)]
+    # The sets of the k-1 largest elements are the (k-1)-subsets of {1..n-1}
+    # shifted up by one: the least elements 1..top[0] complete each, and
+    # every element completes the empty one (k == 1).
+    for top in iter_subsets_colex(p.n - 1, k - 1):
+        rest = ",".join([str(e + 1) for e in top]) + tail
+        yield from [a + rest for a in heads[: top[0] if top else p.n]]
 
 
-def _write_lines(tout, lines: Iterable[str], sep: str) -> None:
-    """Write ``lines`` separated by ``sep``, one write per _CHUNK_LINES lines."""
+def _write_lines(tout, lines: Iterable[str], sep: str) -> int:
+    """Write ``lines`` separated by ``sep``, one write per _CHUNK_LINES lines;
+    return the number of lines."""
     lines = iter(lines)
     lead = ""
+    count = 0
     while chunk := list(islice(lines, _CHUNK_LINES)):
         tout.write(lead + sep.join(chunk))
         lead = sep
+        count += len(chunk)
+    return count
 
 
 def build_parser() -> _Parser:
@@ -181,18 +198,16 @@ def _cmd_adj(args, out, tout, terr) -> int:
 
 def _cmd_cliques(args, out, tout, terr) -> int:
     params = JohnsonParams(args.n, args.m)
-    if args.clique_class == "min":
-        streams = [enumerate_min_cliques(params)]
-    elif args.clique_class == "max":
-        streams = [enumerate_max_cliques(params)]
+    if args.clique_class != "all":
+        kinds = [CliqueClass(args.clique_class)]
     elif params.degenerate:
         # "all" lists the graph's actual maximal cliques, which in the
         # degenerate regime is the class-min family alone.
-        streams = [enumerate_min_cliques(params)]
+        kinds = [CliqueClass.MIN]
     else:
-        streams = [enumerate_min_cliques(params), enumerate_max_cliques(params)]
+        kinds = [CliqueClass.MIN, CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    _write_lines(tout, map(_clique_json, chain(*streams)), "\n")
+    _write_lines(tout, chain.from_iterable(_family_lines(params, k) for k in kinds), "\n")
     tout.write("\n")
     return 0
 
@@ -222,9 +237,12 @@ def _cmd_extend(args, out, tout, terr) -> int:
 
 
 def _cmd_partition(args, out, tout, terr) -> int:
-    parts = clique_partition(JohnsonParams(args.n, args.m)).parts
-    tout.write(f'{{"cp":{len(parts)},"parts":[')
-    _write_lines(tout, map(_clique_json, parts), ",")
+    params = JohnsonParams(args.n, args.m)
+    kind = _partition_class(params)
+    # The parts stream: the head comes from the closed form, and the part
+    # count is checked against it once the parts are written.
+    tout.write(f'{{"cp":{clique_partition_number(params)},"parts":[')
+    _check_partition(params, kind, _write_lines(tout, _family_lines(params, kind), ","))
     tout.write("]}\n")
     return 0
 

@@ -67,20 +67,12 @@ class MaximalClique:
 
     def __post_init__(self) -> None:
         p = self.params
-        if self.kind is CliqueClass.MAX and p.degenerate:
-            raise RegimeError(
-                f"class max cliques are not maximal in the degenerate regime n == m+1 "
-                f"(n={p.n}, m={p.m})"
-            )
-        size = p.m + 1 if self.kind is CliqueClass.MIN else p.m - 1
-        validate_label(self.defining_set, p.n, size)
+        validate_label(self.defining_set, p.n, _class_shape(p, self.kind)[0])
 
     @property
     def size(self) -> int:
         """Number of members: m+1 for class min, n-m+1 for class max."""
-        if self.kind is CliqueClass.MIN:
-            return self.params.m + 1
-        return self.params.n - self.params.m + 1
+        return _class_shape(self.params, self.kind)[1]
 
     def members(self) -> tuple[Label, ...]:
         """The member labels, in colex order."""
@@ -262,9 +254,38 @@ def extend_to_maximal(c: Clique) -> tuple[MaximalClique, ...]:
     return result.extensions
 
 
+def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
+    """(defining-set size, member count) of the class-``kind`` cliques:
+    (m+1, m+1) for class min, (m-1, n-m+1) for class max.
+
+    Raises RegimeError for class max in the degenerate regime n == m+1,
+    where those candidates are not maximal.
+    """
+    if kind is CliqueClass.MIN:
+        return p.m + 1, p.m + 1
+    if p.degenerate:
+        raise RegimeError(
+            f"n={p.n} equals m+1: the graph is complete and the class-max family "
+            f"is not maximal; only the single class-min clique exists"
+        )
+    return p.m - 1, p.n - p.m + 1
+
+
+def _family(p: JohnsonParams, kind: CliqueClass, k: int) -> Iterator[MaximalClique]:
+    # iter_subsets_colex makes only valid k-subsets of {1..n}, so the
+    # cliques skip __post_init__ and its re-validation of each set.
+    new, put = object.__new__, object.__setattr__
+    for s in iter_subsets_colex(p.n, k):
+        h = new(MaximalClique)
+        put(h, "params", p)
+        put(h, "kind", kind)
+        put(h, "defining_set", s)
+        yield h
+
+
 def enumerate_min_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
     """One class-min clique per (m+1)-subset B of {1..n}, in colex order of B."""
-    return (MaximalClique(p, CliqueClass.MIN, b) for b in iter_subsets_colex(p.n, p.m + 1))
+    return _family(p, CliqueClass.MIN, p.m + 1)
 
 
 def enumerate_max_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
@@ -273,12 +294,7 @@ def enumerate_max_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
     Rejects the degenerate regime n == m+1, where these candidates are not
     maximal.
     """
-    if p.degenerate:
-        raise RegimeError(
-            f"n={p.n} equals m+1: the graph is complete and the class-max family "
-            f"is not maximal; only the single class-min clique exists"
-        )
-    return (MaximalClique(p, CliqueClass.MAX, a) for a in iter_subsets_colex(p.n, p.m - 1))
+    return _family(p, CliqueClass.MAX, _class_shape(p, CliqueClass.MAX)[0])
 
 
 def clique_number(p: JohnsonParams) -> int:
@@ -300,6 +316,36 @@ def clique_partition_number(p: JohnsonParams) -> int:
     return binomial(p.n, p.m + 1)
 
 
+def _partition_class(p: JohnsonParams) -> CliqueClass:
+    """The class whose family partitions the edges in clique_partition.
+    Raises RegimeError in the degenerate regime n == m+1."""
+    if p.degenerate:
+        raise RegimeError(
+            f"no class partition in the degenerate regime n == m+1: the whole graph "
+            f"is one clique (n={p.n}, m={p.m})"
+        )
+    return CliqueClass.MAX if p.n < 2 * p.m else CliqueClass.MIN
+
+
+def _check_partition(p: JohnsonParams, kind: CliqueClass, parts: int) -> None:
+    """O(1) check of a class-``kind`` edge partition of ``parts`` cliques:
+    raises InternalConsistencyError unless the part count equals
+    clique_partition_number and the parts cover edge_count edges.
+
+    No edge lies in two parts: two distinct (m+1)-sets share at most one
+    m-subset, and two distinct (m-1)-cores have at most one common
+    m-superset (their union). So the parts cover exactly
+    parts * C(size, 2) distinct edges, and matching the edge count proves
+    the cover exact. verify() re-checks it edge by edge.
+    """
+    covered = parts * binomial(_class_shape(p, kind)[1], 2)
+    if parts != clique_partition_number(p) or covered != edge_count(p):
+        raise InternalConsistencyError(
+            f"partition has {parts} parts covering {covered} edges; "
+            f"expected {clique_partition_number(p)} parts and {edge_count(p)} edges"
+        )
+
+
 def clique_partition(p: JohnsonParams) -> CliquePartition:
     """Partition the edge set into maximal cliques of a single class.
 
@@ -309,27 +355,10 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
     part count and the covered edge count are checked in O(1). Requires
     n >= m+2.
     """
-    if p.degenerate:
-        raise RegimeError(
-            f"no class partition in the degenerate regime n == m+1: the whole graph "
-            f"is one clique (n={p.n}, m={p.m})"
-        )
-    if p.n < 2 * p.m:
-        parts = tuple(enumerate_max_cliques(p))
-    else:
-        parts = tuple(enumerate_min_cliques(p))
-    # No edge lies in two parts: two distinct (m+1)-sets share at most one
-    # m-subset, and two distinct (m-1)-cores have at most one common
-    # m-superset (their union). So the parts cover exactly
-    # len(parts) * C(size, 2) distinct edges, and matching the edge count
-    # proves the cover exact. verify() re-checks it edge by edge.
-    part = CliquePartition(parts)
-    if len(parts) != clique_partition_number(p) or part.covered_edge_count != edge_count(p):
-        raise InternalConsistencyError(
-            f"partition has {len(parts)} parts covering {part.covered_edge_count} edges; "
-            f"expected {clique_partition_number(p)} parts and {edge_count(p)} edges"
-        )
-    return part
+    kind = _partition_class(p)
+    parts = tuple(_family(p, kind, _class_shape(p, kind)[0]))
+    _check_partition(p, kind, len(parts))
+    return CliquePartition(parts)
 
 
 def members_of(h: MaximalClique) -> tuple[Label, ...]:

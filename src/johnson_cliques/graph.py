@@ -11,7 +11,6 @@ of each label to find its neighbours' ranks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -194,7 +193,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     DEFAULT_EXPORT_CAP, read at call time as edges() does), and unknown
     formats, before any work. Like edges(), it holds all C(n, m) labels and
     their bit masks, O(C(n, m)) memory; each label is formatted once, and
-    edgelist and DOT are written one chunk per vertex.
+    the edges of every format are written one chunk per vertex.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
@@ -213,10 +212,12 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
             sink.write("".join(lines).encode())
         sink.write(b"}\n")
     else:
-        payload = {
-            "n": p.n,
-            "m": p.m,
-            "vertices": labels,
-            "edges": [[i, j] for i, ranks in enumerate(neighbour_ranks) for j in ranks if j > i],
-        }
-        sink.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+        vertices = ",".join(["[" + ",".join(map(str, u)) + "]" for u in labels])
+        sink.write(f'{{"n":{p.n},"m":{p.m},"vertices":[{vertices}],"edges":['.encode())
+        lead = ""
+        for i, ranks in enumerate(neighbour_ranks):
+            pairs = [f"[{i},{j}]" for j in ranks if j > i]
+            if pairs:
+                sink.write((lead + ",".join(pairs)).encode())
+                lead = ","
+        sink.write(b"]}\n")

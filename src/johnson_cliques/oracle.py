@@ -361,7 +361,12 @@ def verify_range(
 ) -> Iterator[VerificationReport | SkippedPair]:
     """Verify every valid (n, m) pair, yielding each result in (m, n) order as
     it is ready, whatever ``jobs`` is. A pair over ``max_vertices`` yields a
-    SkippedPair and the sweep goes on."""
+    SkippedPair and the sweep goes on. ``jobs`` and ``max_vertices`` below 1
+    raise ValidationError at the call, before any pair is checked."""
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    if max_vertices < 1:
+        raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
     pairs = [
         JohnsonParams(n, m)
         for m in sorted(set(m_values))
@@ -371,8 +376,11 @@ def verify_range(
     check = partial(_verify_or_skip, max_vertices=max_vertices)
     workers = _worker_count(jobs, len(pairs))
     if workers <= 1:
-        yield from map(check, pairs)
-        return
+        return map(check, pairs)
+    return _pooled(check, pairs, workers)
+
+
+def _pooled(check, pairs: list[JohnsonParams], workers: int) -> Iterator:
     # Imported here: the pool pulls in multiprocessing, which only jobs > 1 uses.
     from concurrent.futures import ProcessPoolExecutor
 

@@ -4,20 +4,28 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
+import johnson_cliques.cliques as cliques_module
 from johnson_cliques import (
+    MAX_GROUND_SET,
+    CliqueClass,
     InternalConsistencyError,
     JohnsonParams,
+    RegimeError,
     SkippedPair,
     binomial,
     clique_partition,
     edge_count,
     enumerate_max_cliques,
     enumerate_min_cliques,
+    iter_subsets_colex,
     verify,
 )
 from johnson_cliques.oracle import VERIFY_PHASES
@@ -172,7 +180,7 @@ def _expected_stream(argv):
     return 0, "".join(map(line, hs)).encode()
 
 
-STREAM_PAIRS = ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(16, 4)]
+STREAM_PAIRS = ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(16, 4), (62, 2)]
 
 
 class TestStreamBytes:
@@ -193,6 +201,99 @@ class TestStreamBytes:
         p = JohnsonParams(16, 4)
         assert len(clique_partition(p).parts) == 4368 > cli._CHUNK_LINES
         assert binomial(16, 5) + binomial(16, 3) == 4928 > cli._CHUNK_LINES
+
+
+@st.composite
+def family_shapes(draw):
+    """(n, m, class, defining-set size) with at most 3,000 defining sets,
+    n up to 62, both label-size extremes included."""
+    kind = draw(st.sampled_from(CliqueClass))
+    n = draw(st.integers(3 if kind is CliqueClass.MIN else 4, MAX_GROUND_SET))
+    k_of = (lambda m: m + 1) if kind is CliqueClass.MIN else (lambda m: m - 1)
+    ms = [
+        m
+        for m in range(2, n)
+        if not (kind is CliqueClass.MAX and n == m + 1) and binomial(n, k_of(m)) <= 3000
+    ]
+    m = draw(st.sampled_from(ms))
+    return n, m, kind, k_of(m)
+
+
+class TestFamilyLines:
+    @given(family_shapes())
+    @example((62, 2, CliqueClass.MAX, 1))
+    @example((62, 61, CliqueClass.MIN, 62))
+    @example((3, 2, CliqueClass.MIN, 3))
+    @example((22, 4, CliqueClass.MAX, 3))
+    def test_lines_are_head_set_tail(self, shape):
+        n, m, kind, k = shape
+        size = m + 1 if kind is CliqueClass.MIN else n - m + 1
+        head = f'{{"class":"{kind.value}","set":['
+        tail = f'],"n":{n},"m":{m},"size":{size}}}'
+        expected = [head + ",".join(map(str, s)) + tail for s in iter_subsets_colex(n, k)]
+        assert list(cli._family_lines(JohnsonParams(n, m), kind)) == expected
+
+    def test_class_max_is_refused_in_the_degenerate_regime(self):
+        with pytest.raises(RegimeError, match="complete"):
+            next(cli._family_lines(JohnsonParams(5, 4), CliqueClass.MAX))
+
+
+class _Discard(io.RawIOBase):
+    """A byte sink that keeps nothing, so only the command's own memory counts."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return len(b)
+
+
+def _peak_mib(argv):
+    tracemalloc.start()
+    try:
+        code = cli.run(argv, _Discard(), io.BytesIO())
+        return code, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamMemory:
+    def test_partition_streams_its_parts(self):
+        # 74,613 parts (4.3 MB of text): holding them as objects peaks near
+        # 15 MiB, streaming them near 1 MiB.
+        code, peak = _peak_mib(["partition", "--n", "22", "--m", "5"])
+        assert code == 0
+        assert peak < 4
+
+    def test_gen_json_streams_its_edges(self):
+        # 25,740 edges: one dict and one json.dumps of the whole graph peak
+        # near 4.7 MiB, one chunk per vertex near 0.3 MiB.
+        code, peak = _peak_mib(["gen", "--n", "13", "--m", "5", "--format", "json"])
+        assert code == 0
+        assert peak < 2
+
+
+class TestPartitionSelfCheck:
+    @pytest.mark.parametrize("n,m", [(6, 3), (5, 3)])
+    @pytest.mark.parametrize("change", ["drop_last", "repeat_last"])
+    def test_off_by_one_family_exits_3(self, monkeypatch, n, m, change):
+        real = cli._family_lines
+
+        def off_by_one(p, kind):
+            lines = list(real(p, kind))
+            return lines[:-1] if change == "drop_last" else lines + lines[-1:]
+
+        monkeypatch.setattr(cli, "_family_lines", off_by_one)
+        code, out, err = run_cli(["partition", "--n", str(n), "--m", str(m)])
+        assert code == 3
+        assert b"internal consistency" in err and b"parts" in err
+        assert not out.endswith(b"]}\n")
+
+    def test_covered_edge_count_is_checked(self, monkeypatch):
+        monkeypatch.setattr(cliques_module, "edge_count", lambda p: edge_count(p) + 1)
+        code, _, err = run_cli(["partition", "--n", "6", "--m", "3"])
+        assert code == 3
+        assert b"15 parts covering 90 edges; expected 15 parts and 91 edges" in err
 
 
 class TestClassify:
@@ -403,10 +504,10 @@ class TestExitCodes:
         assert run_cli(["number", "--n", "2", "--m", "2"])[0] == 2
 
     def test_internal_consistency_maps_to_3(self, monkeypatch):
-        def boom(params):
+        def boom(params, kind, parts):
             raise InternalConsistencyError("forced")
 
-        monkeypatch.setattr(cli, "clique_partition", boom)
+        monkeypatch.setattr(cli, "_check_partition", boom)
         code, _, err = run_cli(["partition", "--n", "4", "--m", "2"])
         assert code == 3
         assert b"internal consistency" in err

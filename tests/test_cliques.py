@@ -183,6 +183,23 @@ class TestMaximalCliqueType:
         with pytest.raises(ValidationError):
             MaximalClique(J53, CliqueClass.MAX, (1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "kind,defining_set",
+        [
+            (CliqueClass.MIN, (2, 1, 3, 4)),
+            (CliqueClass.MIN, (1, 2, 3, 6)),
+            (CliqueClass.MIN, (0, 1, 2, 3)),
+            (CliqueClass.MIN, (1, 1, 2, 3)),
+            (CliqueClass.MAX, (4, 3)),
+            (CliqueClass.MAX, (3, 6)),
+        ],
+    )
+    def test_defining_set_validated(self, kind, defining_set):
+        # The enumerations skip this check for the sets they make themselves;
+        # the public constructor keeps it.
+        with pytest.raises(ValidationError):
+            MaximalClique(J53, kind, defining_set)
+
     def test_max_class_rejected_in_degenerate_regime(self):
         with pytest.raises(RegimeError):
             MaximalClique(JohnsonParams(4, 3), CliqueClass.MAX, (1, 2))
@@ -336,6 +353,18 @@ class TestEnumerations:
     def test_max_degenerate_rejected(self):
         with pytest.raises(RegimeError):
             enumerate_max_cliques(JohnsonParams(4, 3))
+
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
+    def test_equal_to_validated_construction(self, n, m):
+        p = JohnsonParams(n, m)
+        got = list(enumerate_min_cliques(p))
+        assert got == [MaximalClique(p, CliqueClass.MIN, s) for s in colex_subsets(n, m + 1)]
+        if not p.degenerate:
+            got += enumerate_max_cliques(p)
+            want = [MaximalClique(p, CliqueClass.MAX, s) for s in colex_subsets(n, m - 1)]
+            assert got[-len(want):] == want
+        rebuilt = [MaximalClique(p, h.kind, h.defining_set) for h in got]
+        assert [hash(h) for h in got] == [hash(h) for h in rebuilt]
 
     def test_defining_sets_in_colex_order(self):
         sets = [h.defining_set for h in enumerate_min_cliques(JohnsonParams(6, 3))]

@@ -340,6 +340,16 @@ class TestVerifyRange:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
         assert oracle._worker_count(8, 27) == 1
 
+    @pytest.mark.parametrize(
+        "knobs", [{"jobs": 0}, {"jobs": -2}, {"max_vertices": 0}, {"max_vertices": -1}]
+    )
+    def test_knobs_below_1_are_refused_at_the_call(self, monkeypatch, knobs):
+        checked = []
+        monkeypatch.setattr(oracle, "verify", lambda p, cap: checked.append(p))
+        with pytest.raises(ValidationError, match="must be at least 1"):
+            verify_range([2], [4, 5], **knobs)
+        assert checked == []
+
     def test_parallel_matches_serial(self):
         serial = verify_range([2, 3], range(4, 7), jobs=1)
         parallel = verify_range([2, 3], range(4, 7), jobs=3)
