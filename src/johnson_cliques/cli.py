@@ -4,7 +4,8 @@ All machine output goes to stdout as JSON or the fixed edgelist/DOT formats;
 human-readable messages go to stderr. Exit codes: 0 success, 1 usage error
 or a ``gen --out`` file that cannot be opened, 2 validation error (bad labels,
 bad parameters, regime errors) or a verify pair skipped over the vertex cap,
-3 internal consistency failure or a failed verification check.
+3 internal consistency failure or a failed verification check, 141 stdout
+closed by its reader before the output ended.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _cmd_gen(args, out: BinaryIO, tout, terr) -> int:
         export(params, args.format, out, max_vertices=cap)
         return 0
     # Refuse an over-cap graph before open() truncates the file.
-    graph._check_export_cap(params, cap)
+    graph._check_cap(params, cap, "export")
     try:
         sink = open(args.out, "wb")
     except OSError as exc:
@@ -332,7 +333,15 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:], sys.stdout.buffer, sys.stderr.buffer))
+    try:
+        code = run(sys.argv[1:], sys.stdout.buffer, sys.stderr.buffer)
+    except BrokenPipeError:
+        # The reader of stdout left early, as ``| head`` does. As the Python
+        # signal docs advise, point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,15 @@ element swapped for one outside it. Per-label queries (adjacency,
 neighborhoods) store nothing and work even when C(n, m) is far too large to
 materialize. The bulk paths (the edge stream, export and the oracle's dense
 build) hold all C(n, m) labels and their bit masks, and walk the single swaps
-of each label to find its neighbours' ranks.
+of each label to find the ranks of its later neighbours only, already
+ascending: each edge is found once, from its colex-smaller end. export()
+writes the edge lines of a fixed number of vertices per write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import BinaryIO, Iterator
 
 from .combinat import (
@@ -129,27 +132,39 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
 
 
 def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Iterator[list[int]]]:
-    """The labels in colex order and, lazily, each vertex's neighbour ranks.
+    """The labels in colex order and, lazily, each vertex's later neighbour
+    ranks: for vertex i, the ranks j > i of its neighbours, ascending.
 
-    Vertex i's neighbours are labels[i] with one element swapped for one
-    outside it: m(n-m) lookups of bit masks in one mask -> rank dict, yielded
-    as an ascending list. Holds all C(n, m) labels, masks and dict entries up
-    front.
+    Colex order on m-sets is the numeric order of their bit masks, as in
+    neighbors(), so the later neighbours of a label swap one element x for
+    an outside element y > x, in order of y ascending, then x descending.
+    Each run of outside elements between the k-th and (k+1)-th element of
+    the label pairs with the masks that drop one of its k smallest elements,
+    largest first: one lookup per edge in a mask -> rank dict, with no sort.
+    Holds all C(n, m) labels, masks and dict entries up front.
     """
     labels = list(iter_subsets_colex(p.n, p.m))
     bits = [1 << e for e in range(p.n + 1)]
     masks = [sum(bits[e] for e in label) for label in labels]
     rank_of = {mask: i for i, mask in enumerate(masks)}
+    ends = (p.n + 1,)
+    # rests[start:] drops one of the m - start smallest elements, largest
+    # first; the run after the label's i-th element uses start = m-1-i.
+    starts = range(p.m - 1, -1, -1)
 
-    def neighbour_ranks() -> Iterator[list[int]]:
+    def later_ranks() -> Iterator[list[int]]:
         for label, mask in zip(labels, masks):
-            rests = [mask ^ bits[e] for e in label]
-            outside = [bit for bit in bits[1:] if not mask & bit]
-            ranks = [rank_of[rest | bit] for rest in rests for bit in outside]
-            ranks.sort()
-            yield ranks
+            rests = [mask ^ bits[e] for e in reversed(label)]
+            yield [
+                rank_of[rest | bit]
+                for x, end, start in zip(label, label[1:] + ends, starts)
+                if end > x + 1
+                for lows in (rests[start:],)
+                for bit in bits[x + 1 : end]
+                for rest in lows
+            ]
 
-    return labels, neighbour_ranks()
+    return labels, later_ranks()
 
 
 def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
@@ -158,26 +173,33 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
 
     Before the first edge it holds all C(n, m) labels, their bit masks and
     a mask -> rank dict, O(C(n, m)) memory; the edges themselves are
-    streamed. So, like export(), it refuses graphs with more than
+    streamed from each vertex's later neighbour ranks, as the walk yields
+    them. So, like export(), it refuses graphs with more than
     DEFAULT_EXPORT_CAP vertices (RangeError) before it lists any label.
     """
-    _check_export_cap(p, DEFAULT_EXPORT_CAP)
-    labels, neighbour_ranks = _swap_walk(p)
-    for i, ranks in enumerate(neighbour_ranks):
-        u = labels[i]
-        for j in ranks:
-            if j > i:
-                yield u, labels[j]
+    _check_cap(p, DEFAULT_EXPORT_CAP, "export")
+    labels, later_ranks = _swap_walk(p)
+    for u, later in zip(labels, later_ranks):
+        for j in later:
+            yield u, labels[j]
 
 
-def _check_export_cap(p: JohnsonParams, max_vertices: int) -> None:
+def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
+    """Refuse a cap below 1 (ValidationError) and a graph with more than
+    ``max_vertices`` vertices (RangeError, naming the ``cap``)."""
+    if max_vertices < 1:
+        raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
     nv = vertex_count(p)
     if nv > max_vertices:
-        raise RangeError(f"graph has {nv} vertices, above the export cap {max_vertices}")
+        raise RangeError(f"graph has {nv} vertices, above the {cap} cap {max_vertices}")
 
 
 def _node_id(label: Label) -> str:
     return "_".join(str(e) for e in label)
+
+
+#: Vertices whose edge lines export() joins into one write.
+_CHUNK_VERTICES = 256
 
 
 def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None = None) -> None:
@@ -189,35 +211,45 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
       * ``json``     -- ``{"n":..,"m":..,"vertices":[[..],..],"edges":[[i,j],..]}``
                         with vertices in colex order and edges as rank pairs.
 
-    Refuses graphs with more than ``max_vertices`` vertices (default:
-    DEFAULT_EXPORT_CAP, read at call time as edges() does), and unknown
-    formats, before any work. Like edges(), it holds all C(n, m) labels and
-    their bit masks, O(C(n, m)) memory; each label is formatted once, and
-    the edges of every format are written one chunk per vertex.
+    Refuses caps below 1, graphs with more than ``max_vertices`` vertices
+    (default: DEFAULT_EXPORT_CAP, read at call time as edges() does), and
+    unknown formats, before any work. Like edges(), it holds all C(n, m)
+    labels and their bit masks, O(C(n, m)) memory. The formats differ only
+    in each vertex's name (the label, its DOT id or its rank) and the fixed
+    text around each edge: each name is formatted once, each vertex's later
+    neighbours are joined into its edge lines at once, and the lines of
+    _CHUNK_VERTICES vertices go out as one write.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    _check_export_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices)
-    labels, neighbour_ranks = _swap_walk(p)
+    _check_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices, "export")
+    labels, later_ranks = _swap_walk(p)
+    # The text of edge (u, v) is left + names[u] + mid + names[v] + right,
+    # and consecutive edges are separated by sep.
     if fmt == "edgelist":
         names = [format_label(u) for u in labels]
-        for i, ranks in enumerate(neighbour_ranks):
-            lines = (f"{names[i]} -- {names[j]}\n" for j in ranks if j > i)
-            sink.write("".join(lines).encode())
+        opening = closing = ""
+        left, mid, right, sep = "", " -- ", "\n", ""
     elif fmt == "dot":
         names = [_node_id(u) for u in labels]
-        sink.write(f"graph J_{p.n}_{p.m} {{\n".encode())
-        for i, ranks in enumerate(neighbour_ranks):
-            lines = (f'  "{names[i]}" -- "{names[j]}";\n' for j in ranks if j > i)
-            sink.write("".join(lines).encode())
-        sink.write(b"}\n")
+        opening, closing = f"graph J_{p.n}_{p.m} {{\n", "}\n"
+        left, mid, right, sep = '  "', '" -- "', '";\n', ""
     else:
+        names = [str(i) for i in range(len(labels))]
         vertices = ",".join(["[" + ",".join(map(str, u)) + "]" for u in labels])
-        sink.write(f'{{"n":{p.n},"m":{p.m},"vertices":[{vertices}],"edges":['.encode())
-        lead = ""
-        for i, ranks in enumerate(neighbour_ranks):
-            pairs = [f"[{i},{j}]" for j in ranks if j > i]
-            if pairs:
-                sink.write((lead + ",".join(pairs)).encode())
-                lead = ","
-        sink.write(b"]}\n")
+        opening = f'{{"n":{p.n},"m":{p.m},"vertices":[{vertices}],"edges":['
+        closing = "]}\n"
+        left, mid, right, sep = "[", ",", "]", ","
+    heads = (left + name + mid for name in names)
+    # The last vertex has no later neighbour, and so no edge text.
+    blocks = (
+        head + (right + sep + head).join([names[j] for j in later]) + right
+        for head, later in zip(heads, later_ranks)
+        if later
+    )
+    sink.write(opening.encode())
+    lead = ""
+    while chunk := list(islice(blocks, _CHUNK_VERTICES)):
+        sink.write((lead + sep.join(chunk)).encode())
+        lead = sep
+    sink.write(closing.encode())

@@ -26,7 +26,7 @@ from .cliques import (
     enumerate_min_cliques,
 )
 from .errors import InternalConsistencyError, RangeError, ValidationError
-from .graph import JohnsonParams, _swap_walk, edge_count, vertex_count
+from .graph import JohnsonParams, _check_cap, _swap_walk, edge_count
 
 #: Largest graph verify()/materialize() will build by default.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -71,26 +71,21 @@ def materialize(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -
     return _build(p, max_vertices)[1]
 
 
-def _over_cap(p: JohnsonParams, max_vertices: int) -> str | None:
-    nv = vertex_count(p)
-    if nv > max_vertices:
-        return f"graph has {nv} vertices, above the materialization cap {max_vertices}"
-    return None
-
-
 def _build(p: JohnsonParams, max_vertices: int) -> tuple[list[Label], DenseGraph]:
     """The labels in colex order and the graph whose vertex i is labels[i];
-    row i has the bits of vertex i's single-swap neighbour ranks."""
-    reason = _over_cap(p, max_vertices)
-    if reason:
-        raise RangeError(reason)
-    labels, neighbour_ranks = _swap_walk(p)
-    rows = []
-    for ranks in neighbour_ranks:
-        row = 0
-        for j in ranks:
+    row i has the bits of vertex i's single-swap neighbour ranks. The walk
+    yields each edge once, from its earlier end, so each later rank j also
+    sets bit i of row j."""
+    _check_cap(p, max_vertices, "materialization")
+    labels, later_ranks = _swap_walk(p)
+    rows = [0] * len(labels)
+    for i, later in enumerate(later_ranks):
+        bit = 1 << i
+        row = rows[i]
+        for j in later:
             row |= 1 << j
-        rows.append(row)
+            rows[j] |= bit
+        rows[i] = row
     return labels, DenseGraph(len(labels), tuple(rows))
 
 
@@ -389,8 +384,11 @@ def _pooled(check, pairs: list[JohnsonParams], workers: int) -> Iterator:
 
 
 def _verify_or_skip(p: JohnsonParams, max_vertices: int) -> VerificationReport | SkippedPair:
-    reason = _over_cap(p, max_vertices)
-    return SkippedPair(p, reason) if reason else verify(p, max_vertices)
+    try:
+        _check_cap(p, max_vertices, "materialization")
+    except RangeError as exc:
+        return SkippedPair(p, str(exc))
+    return verify(p, max_vertices)
 
 
 def _worker_count(jobs: int, pair_count: int) -> int:

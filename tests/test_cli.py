@@ -532,6 +532,31 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == (0 if argv[0] == "number" else 2)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "13", "--m", "5", "--format", "edgelist"],
+            ["cliques", "--n", "22", "--m", "4"],
+        ],
+    )
+    def test_reader_closing_stdout_exits_141_without_traceback(self, argv):
+        # Both outputs are far larger than a pipe buffer, so the writer is
+        # still writing when the reader goes away, as under ``| head -1``.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "johnson_cliques", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""  # no traceback
+
     def test_importing_the_cli_loads_no_process_pool(self):
         # Only verify --jobs K with K > 1 needs multiprocessing, which pulls
         # in about 36 modules that every other command would load for nothing.

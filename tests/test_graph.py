@@ -30,6 +30,20 @@ from helpers import (
     swap_neighbors,
 )
 
+
+class WriteRecorder(io.BytesIO):
+    """A byte sink that records the size of each non-empty write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, data) -> int:
+        if data:
+            self.sizes.append(len(data))
+        return super().write(data)
+
+
 # The clique-queries bench sizes, plus the extreme label sizes at n = 62.
 QUERY_SIZES = [(24, 6), (48, 12), (62, 31), (62, 2), (62, 61)]
 
@@ -139,12 +153,17 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
     def test_matches_bulk_swap_walk(self, n, m):
-        # the per-query path and the bulk path behind edges()/export/materialize
+        # the per-query path and the bulk path behind edges()/export/materialize:
+        # the walk yields, for vertex i, the ranks of neighbors(u) above i,
+        # ascending
         p = JohnsonParams(n, m)
-        labels, neighbour_ranks = _swap_walk(p)
+        labels, later_ranks = _swap_walk(p)
         assert labels == colex_subsets(n, m)
-        for u, ranks in zip(labels, neighbour_ranks):
-            assert neighbors(u, p) == [labels[j] for j in ranks]
+        rank_of = {u: i for i, u in enumerate(labels)}
+        walked = list(later_ranks)
+        assert len(walked) == len(labels)
+        for i, (u, later) in enumerate(zip(labels, walked)):
+            assert later == [rank_of[v] for v in neighbors(u, p) if rank_of[v] > i], u
 
     @given(query_labels())
     def test_matches_definition_at_query_sizes(self, case):
@@ -258,29 +277,44 @@ class TestExport:
         with pytest.raises(RangeError):
             export(JohnsonParams(9, 4), "edgelist", io.BytesIO(), max_vertices=100)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refused(self, cap):
+        sink = io.BytesIO()
+        with pytest.raises(ValidationError, match=f"max_vertices must be at least 1, got {cap}"):
+            export(JohnsonParams(5, 2), "dot", sink, max_vertices=cap)
+        assert sink.getvalue() == b""
+
+    # J(4,3): the last vertex has no later neighbour. J(11,4): 330 vertices,
+    # more than one write's worth.
     @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])
-    @pytest.mark.parametrize("n,m", [(8, 3), (9, 4)])
+    @pytest.mark.parametrize("n,m", [(8, 3), (9, 4), (4, 3), (11, 4)])
     def test_bytes_match_quadratic_scan(self, n, m, fmt):
         labels = colex_subsets(n, m)
         pairs = quadratic_edges(labels)
         if fmt == "edgelist":
-            text = "".join(
+            opening = closing = ""
+            body = "".join(
                 "{%s} -- {%s}\n" % (",".join(map(str, a)), ",".join(map(str, b))) for a, b in pairs
             )
         elif fmt == "dot":
+            opening, closing = "graph J_%d_%d {\n" % (n, m), "}\n"
             body = "".join(
                 '  "%s" -- "%s";\n' % ("_".join(map(str, a)), "_".join(map(str, b)))
                 for a, b in pairs
             )
-            text = "graph J_%d_%d {\n%s}\n" % (n, m, body)
         else:
             index = {label: i for i, label in enumerate(labels)}
             vertices = ",".join("[%s]" % ",".join(map(str, a)) for a in labels)
-            edge_text = ",".join("[%d,%d]" % (index[a], index[b]) for a, b in pairs)
-            text = '{"n":%d,"m":%d,"vertices":[%s],"edges":[%s]}\n' % (n, m, vertices, edge_text)
-        sink = io.BytesIO()
+            opening = '{"n":%d,"m":%d,"vertices":[%s],"edges":[' % (n, m, vertices)
+            closing = "]}\n"
+            body = ",".join("[%d,%d]" % (index[a], index[b]) for a, b in pairs)
+        sink = WriteRecorder()
         export(JohnsonParams(n, m), fmt, sink)
-        assert sink.getvalue() == text.encode()
+        assert sink.getvalue() == (opening + body + closing).encode()
+        if len(labels) > graph._CHUNK_VERTICES:
+            # the edges go out in more than one non-empty write
+            assert len(sink.sizes) > 1
+            assert max(sink.sizes) < len(body)
 
     def test_deterministic(self):
         a, b = io.BytesIO(), io.BytesIO()

@@ -82,6 +82,11 @@ class TestMaterialize:
         with pytest.raises(RangeError):
             materialize(JohnsonParams(9, 4), max_vertices=100)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(ValidationError, match=f"max_vertices must be at least 1, got {cap}"):
+            materialize(JohnsonParams(5, 2), max_vertices=cap)
+
     def test_vertex_order_is_colex(self):
         p = JohnsonParams(5, 3)
         g = materialize(p)
@@ -220,6 +225,11 @@ class TestVerify:
     def test_cap_propagates(self):
         with pytest.raises(RangeError):
             verify(JohnsonParams(9, 4), max_vertices=50)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(ValidationError, match=f"max_vertices must be at least 1, got {cap}"):
+            verify(JohnsonParams(5, 2), max_vertices=cap)
 
     def test_report_serialization_is_stable(self):
         a = verify(JohnsonParams(5, 3)).to_dict()
