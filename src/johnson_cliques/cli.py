@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator
 
@@ -45,9 +46,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """Carries the text of ``--help`` to run(), which writes it to ``out``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        raise _Help(self.format_help())
 
 
 def _parse_range(text: str) -> range:
@@ -113,7 +121,10 @@ def _write_lines(tout, lines: Iterable[str], sep: str) -> int:
     return count
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process. Parsing keeps
+    no state in it: each parse_args() call fills a new namespace."""
     parser = _Parser(prog="johnson-cliques", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -317,8 +328,9 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
         except _UsageError as exc:
             terr.write(f"usage error: {exc}\n")
             return 1
-        except SystemExit as exc:  # argparse --help
-            return 0 if exc.code in (0, None) else 1
+        except _Help as exc:
+            tout.write(exc.args[0])
+            return 0
         except ValidationError as exc:
             terr.write(f"error: {exc}\n")
             return 2

@@ -47,15 +47,37 @@ class DenseGraph:
             raise ValidationError(
                 f"expected {self.vertex_count} adjacency rows, got {len(self.rows)}"
             )
+        if not self._rows_ok():
+            self._raise_first_fault()
+
+    def _rows_ok(self) -> bool:
+        """Whether no row has stray bits or a self-loop and the rows are
+        symmetric. Each row tests only its later bits j > i against bit i of
+        row j. Mirroring maps later bits one to one into earlier bits, so if
+        there are as many earlier bits as later ones, it is onto: every
+        earlier bit is mirrored too."""
+        nv, rows = self.vertex_count, self.rows
+        bits = later = 0
+        for i, row in enumerate(rows):
+            bit_i = 1 << i
+            if row >> nv or row & bit_i:
+                return False
+            bits += row.bit_count()
+            rest = row & -(bit_i << 1)
+            later += rest.bit_count()
+            for j in _mask_vertices(rest):
+                if not rows[j] & bit_i:
+                    return False
+        return bits == 2 * later
+
+    def _raise_first_fault(self) -> None:
+        """Scan every bit of every row and raise for the first fault."""
         for i, row in enumerate(self.rows):
             if row >> self.vertex_count:
                 raise ValidationError(f"row {i} has bits beyond vertex {self.vertex_count - 1}")
             if (row >> i) & 1:
                 raise ValidationError(f"self-loop at vertex {i}")
-            rest = row
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for j in _mask_vertices(row):
                 if not (self.rows[j] >> i) & 1:
                     raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
 
@@ -92,57 +114,59 @@ def _build(p: JohnsonParams, max_vertices: int) -> tuple[list[Label], DenseGraph
 def _mask_vertices(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
 def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
     """All maximal cliques of ``g``, each once, members ascending, cliques
     sorted; pivoted Bron-Kerbosch, deterministic across runs."""
-    return _bron_kerbosch(g)[0]
+    return sorted(map(_mask_vertices, _bron_kerbosch(g)[0]))
 
 
-def _bron_kerbosch(g: DenseGraph) -> tuple[list[tuple[int, ...]], int]:
-    """maximal_cliques(g) and the number of expand calls it took."""
+def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
+    """The vertex masks of the maximal cliques of ``g``, in the order found,
+    and the number of expand calls it took. A branch left with no candidates
+    is settled in its parent, and counted as the call it would have been."""
     if g.vertex_count == 0:
         return [], 0
     rows = g.rows
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
     calls = 0
 
-    def pick_pivot(cand: int, excl: int) -> int:
-        # Tomita, Tanaka & Takahashi (2006): the vertex of P | X with the
-        # most neighbours in P, so the fewest branches remain.
-        best_v, best_score = -1, -1
-        rest = cand | excl
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            score = (rows[v] & cand).bit_count()
-            if score > best_score:
-                best_v, best_score = v, score
-        return best_v
-
     def expand(base: int, cand: int, excl: int) -> None:
+        # Entered only with candidates left.
         nonlocal calls
         calls += 1
-        if not cand:
-            if not excl:
-                found.append(_mask_vertices(base))
-            return
-        pivot = pick_pivot(cand, excl)
-        todo = cand & ~rows[pivot]
+        # Tomita, Tanaka & Takahashi (2006): pivot on the vertex of P | X
+        # with the most neighbours in P, so the fewest branches remain.
+        best = -1
+        rest = cand | excl
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row = rows[bit.bit_length() - 1]
+            score = (row & cand).bit_count()
+            if score > best:
+                best, pivot_row = score, row
+        todo = cand & ~pivot_row
         while todo:
             bit = todo & -todo
-            todo &= todo - 1
-            v = bit.bit_length() - 1
-            expand(base | bit, cand & rows[v], excl & rows[v])
-            cand &= ~bit
+            todo ^= bit
+            row = rows[bit.bit_length() - 1]
+            sub = cand & row
+            if sub:
+                expand(base | bit, sub, excl & row)
+            else:
+                calls += 1
+                if not excl & row:
+                    found.append(base | bit)
+            cand ^= bit
             excl |= bit
 
     expand(0, (1 << g.vertex_count) - 1, 0)
-    found.sort()
     return found, calls
 
 
@@ -238,29 +262,37 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
 
     oracle, expand_calls = _bron_kerbosch(g)
     marks.append(time.perf_counter())
-    max_size = max(len(cl) for cl in oracle)
+    max_size = max(mask.bit_count() for mask in oracle)
 
+    # A clique's common elements are the AND of its members' label masks.
+    label_masks = [sum(1 << e for e in label) for label in labels]
+    faults: list[tuple[tuple[int, ...], str]] = []
     intersection_sizes_ok = True
     size_laws_ok = True
-    for cl in oracle:
-        members = [labels[i] for i in cl]
-        inter = set.intersection(*(set(lab) for lab in members))
-        if len(inter) not in (0, m - 1):
+    for mask in oracle:
+        members = _mask_vertices(mask)
+        shared = -1
+        for i in members:
+            shared &= label_masks[i]
+        common = shared.bit_count()
+        if common not in (0, m - 1):
             intersection_sizes_ok = False
-            notes.append(f"clique {sorted(members)} has intersection size {len(inter)}")
+            labels_in = sorted(labels[i] for i in members)
+            faults.append((members, f"clique {labels_in} has intersection size {common}"))
             continue
-        expected = m + 1 if len(inter) == 0 else n - m + 1
-        if len(cl) != expected:
+        expected = m + 1 if common == 0 else n - m + 1
+        if len(members) != expected:
             size_laws_ok = False
-            notes.append(
-                f"clique with intersection size {len(inter)} has {len(cl)} members, expected {expected}"
-            )
+            faults.append((members, f"clique with intersection size {common} has "
+                                    f"{len(members)} members, expected {expected}"))
+    # One note per faulty clique, in the sorted order of maximal_cliques().
+    notes.extend(note for _, note in sorted(faults))
 
     # Closed-form members reach the rows only through the oracle's own labels.
-    rank_of = {label: i for i, label in enumerate(labels)}
+    bit_of = {label: 1 << i for i, label in enumerate(labels)}.__getitem__
 
     def masks_of(family) -> list[int]:
-        return [sum(1 << rank_of[lab] for lab in h.members()) for h in family]
+        return [sum(map(bit_of, h.members())) for h in family]
 
     min_masks = masks_of(enumerate_min_cliques(p))
     if p.degenerate:
@@ -276,8 +308,7 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         notes.append("class-min and class-max families overlap; they must be disjoint")
     closed = closed_min | closed_max
     closed_form_count = len(closed)
-    oracle_masks = {sum(1 << i for i in cl) for cl in oracle}
-    sets_equal = oracle_masks == closed and len(oracle) == closed_form_count
+    sets_equal = set(oracle) == closed and len(oracle) == closed_form_count
     if len(closed_min) != binomial(n, m + 1):
         sets_equal = False
         notes.append(f"class-min family has {len(closed_min)} cliques, expected C({n},{m + 1})")

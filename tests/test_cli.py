@@ -503,6 +503,35 @@ class TestExitCodes:
         assert run_cli(["number", "--n", "4", "--m", "1"])[0] == 2
         assert run_cli(["number", "--n", "2", "--m", "2"])[0] == 2
 
+    def test_help_goes_to_out(self, capsys):
+        code, out, err = run_cli(["verify", "--help"])
+        assert code == 0
+        assert out.startswith(b"usage: johnson-cliques verify")
+        assert err == b""
+        assert capsys.readouterr() == ("", "")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "bad,good",
+        [
+            (["cliques", "--n", "5", "--m", "3", "--class", "min", "--bogus"],
+             ["cliques", "--n", "5", "--m", "3"]),
+            (["verify", "--m-range", "2..2", "--n-range", "3..4", "--timings", "--jobs", "x"],
+             ["verify", "--m-range", "2..2", "--n-range", "3..4"]),
+            (["gen", "--n", "4", "--m", "2", "--format", "dot", "--out"],
+             ["gen", "--n", "4", "--m", "2", "--format", "edgelist"]),
+        ],
+    )
+    def test_usage_error_leaves_nothing_for_the_next_run(self, bad, good):
+        _, alone, alone_err = run_cli(good)
+        assert run_cli(bad)[0] == 1
+        code, out, err = run_cli(good)
+        assert (code, out) == (0, alone)
+        # verify's stderr summary carries a wall time; only its shape must match.
+        assert err.split(b" in ")[0] == alone_err.split(b" in ")[0]
+
     def test_internal_consistency_maps_to_3(self, monkeypatch):
         def boom(params, kind, parts):
             raise InternalConsistencyError("forced")
@@ -531,6 +560,18 @@ class TestModuleEntryPoint:
         code, out, err = run_cli(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == (0 if argv[0] == "number" else 2)
+
+    def test_help_through_python_dash_m(self, monkeypatch):
+        # The help text wraps at $COLUMNS, so both sides get the same width.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "johnson_cliques", "--help"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(["--help"])
+        assert proc.stdout.startswith(b"usage: johnson-cliques")
 
     @pytest.mark.parametrize(
         "argv",

@@ -61,6 +61,41 @@ class TestDenseGraph:
         g = DenseGraph(3, (0b110, 0b101, 0b011))
         assert g.edge_total() == 3
 
+    def test_missing_mirror_of_a_later_bit_is_named(self):
+        with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(0, 1\)$"):
+            DenseGraph(3, (0b010, 0, 0))
+
+    def test_missing_mirror_of_an_earlier_bit_is_named(self):
+        # Every later bit is mirrored here; only the bit counts differ.
+        with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(1, 0\)$"):
+            DenseGraph(3, (0, 0b001, 0))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_symmetry_check_is_exact(self, data):
+        nv = data.draw(st.integers(2, 10))
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        rows = [0] * nv
+        for i, j in edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        assert DenseGraph(nv, tuple(rows)).rows == tuple(rows)
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(nv) for j in range(nv) if i != j]))
+        rows[i] ^= 1 << j
+        with pytest.raises(ValidationError) as raised:
+            DenseGraph(nv, tuple(rows))
+        assert str(raised.value) == first_symmetry_fault(rows)
+
+
+def first_symmetry_fault(rows):
+    """The message of the first asymmetric bit, scanning every bit of every row."""
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if (row >> j) & 1 and not (rows[j] >> i) & 1:
+                return f"adjacency not symmetric at ({i}, {j})"
+    return None
+
 
 class TestMaterialize:
     def test_octahedron(self):
@@ -284,16 +319,55 @@ class TestVerify:
         assert not report.passed
         assert "edge law failed: some edge is not in exactly one clique per class" in report.notes
 
-    def test_phase_timings_and_counters(self):
-        p = JohnsonParams(6, 3)
+    @pytest.mark.parametrize(
+        "n,m,vertices,edges,cliques,expand_calls",
+        [
+            (5, 3, 10, 30, 15, 35),
+            (6, 3, 20, 90, 30, 137),
+            (9, 4, 126, 1260, 210, 2151),
+            (12, 5, 792, 13860, 1419, 26128),
+        ],
+    )
+    def test_phase_timings_and_counters(self, n, m, vertices, edges, cliques, expand_calls):
+        # expand_calls is pinned: it counts every branch of the search,
+        # including those settled in their parent.
+        p = JohnsonParams(n, m)
         report = verify(p)
         assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
         assert all(s >= 0 for s in report.phase_seconds.values())
         assert sum(report.phase_seconds.values()) == pytest.approx(report.elapsed_seconds)
-        assert report.counters["vertices"] == vertex_count(p) == 20
-        assert report.counters["edges"] == edge_count(p) == 90
-        assert report.counters["cliques_found"] == report.oracle_clique_count == 30
-        assert report.counters["expand_calls"] >= report.counters["cliques_found"]
+        assert report.counters["vertices"] == vertex_count(p) == vertices
+        assert report.counters["edges"] == edge_count(p) == edges
+        assert report.counters["cliques_found"] == report.oracle_clique_count == cliques
+        assert report.counters["expand_calls"] == expand_calls
+
+    @pytest.mark.parametrize(
+        "n,m,u,v,flag,note",
+        [
+            (5, 3, (1, 2, 3), (1, 4, 5), "intersection_sizes_ok",
+             "clique [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 4, 5)] has intersection size 1"),
+            (6, 3, (1, 2, 3), (4, 5, 6), "size_laws_ok",
+             "clique with intersection size 0 has 2 members, expected 4"),
+        ],
+    )
+    def test_broken_clique_laws_are_reported(self, monkeypatch, n, m, u, v, flag, note):
+        # One extra symmetric edge between non-adjacent labels makes a
+        # maximal clique that breaks the law named by ``flag``.
+        real = oracle._build
+
+        def build(p, max_vertices):
+            labels, g = real(p, max_vertices)
+            i, j = labels.index(u), labels.index(v)
+            rows = list(g.rows)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            return labels, DenseGraph(g.vertex_count, tuple(rows))
+
+        monkeypatch.setattr(oracle, "_build", build)
+        report = verify(JohnsonParams(n, m))
+        assert getattr(report, flag) is False
+        assert note in report.notes
+        assert not report.passed
 
     def test_report_is_picklable(self):
         report = verify(JohnsonParams(4, 2))
