@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator
 
@@ -50,7 +50,15 @@ class _Help(Exception):
     """Carries the text of ``--help`` to run(), which writes it to ``out``."""
 
 
+#: Width of the help text, whatever $COLUMNS or the terminal says.
+_HELP_WIDTH = 78
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        kwargs["formatter_class"] = partial(argparse.HelpFormatter, width=_HELP_WIDTH)
+        super().__init__(**kwargs)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 

@@ -82,7 +82,8 @@ def rank(label: Label, n: int) -> int:
 
 
 def unrank(r: int, n: int, m: int) -> Label:
-    """The m-subset of {1..n} with colex rank ``r`` (inverse of rank)."""
+    """The m-subset of {1..n} with colex rank ``r`` (inverse of rank). The
+    one binomial(n, m) call checks n and m, so the scan needs no checks."""
     total = binomial(n, m)
     if not 0 <= r < total:
         raise RangeError(f"rank {r} out of range 0..{total - 1} for C({n},{m})")
@@ -91,9 +92,9 @@ def unrank(r: int, n: int, m: int) -> Label:
     rem = r
     for i in range(m, 0, -1):
         c = bound
-        while binomial(c - 1, i) > rem:
+        while (below := math.comb(c - 1, i)) > rem:
             c -= 1
-        rem -= binomial(c - 1, i)
+        rem -= below
         out.append(c)
         bound = c - 1
     out.reverse()

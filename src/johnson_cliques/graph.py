@@ -14,7 +14,7 @@ writes the edge lines of a fixed number of vertices per write.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, combinations, islice, zip_longest
 from typing import BinaryIO, Iterator
 
 from .combinat import (
@@ -98,37 +98,27 @@ def are_adjacent(u: Label, v: Label) -> bool:
 def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     """The m*(n-m) labels adjacent to ``u``, in colex order.
 
-    Each neighbor swaps one element x of ``u`` for one element y outside it.
-    Colex order on m-sets is the numeric order of their bit masks, so the
-    output order is known up front and each neighbor is built once, by
-    slicing ``u``, with no sort. First the swaps with y < x, which precede
-    ``u``: x descending, then y ascending. Then the swaps with y > x, which
-    follow ``u``: y ascending, then x descending.
+    Each edge {u, v} lies in one class-min clique, the m-subsets of u | v,
+    so the neighbours are the rows of combinations(u | {y}, m) but ``u``, for
+    each y outside ``u``, ascending. The rows drop the largest element first,
+    so they run in colex order (the numeric order of the bit masks): the rows
+    before ``u`` are transposed to x descending, then y ascending (x the
+    element dropped), and the rows after it follow as they are. No sort runs.
     """
     validate_label(u, p.n, p.m)
     m = len(u)
     bounds = (0, *u, p.n + 1)
-    # gaps[k]: the elements outside u that sort between u[k-1] and u[k], so
-    # that y in gaps[k] is inserted at index k.
-    gaps = [
-        (k, range(bounds[k] + 1, bounds[k + 1]))
-        for k in range(m + 1)
-        if bounds[k + 1] > bounds[k] + 1
-    ]
-    out: list[Label] = []
-    for i in range(m - 1, -1, -1):
-        tail = u[i + 1 :]
-        for k, ys in gaps:
-            if k > i:
-                break
-            head, rest = u[:k], u[k:i] + tail
-            out += [head + (y,) + rest for y in ys]
-    for k, ys in gaps:
-        heads = [u[:i] + u[i + 1 : k] for i in range(k - 1, -1, -1)]
-        for y in ys:
-            tail = (y,) + u[k:]
-            out += [head + tail for head in heads]
-    return out
+    lows, highs = [], []
+    for k in range(m + 1):
+        # The y between u[k-1] and u[k] go in at index k.
+        if ys := range(bounds[k] + 1, bounds[k + 1]):
+            head, tail = u[:k], u[k:]
+            for y in ys:
+                rows = list(combinations(head + (y,) + tail, m))
+                lows.append(rows[: m - k])
+                highs += rows[m - k + 1 :]
+    # The runs before u shorten as y grows: zip_longest pads only their ends.
+    return [*filter(None, chain.from_iterable(zip_longest(*lows))), *highs]
 
 
 def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Iterator[list[int]]]:

@@ -510,6 +510,15 @@ class TestExitCodes:
         assert err == b""
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_bytes_ignore_columns(self, monkeypatch, argv):
+        # The text wraps at a fixed width, not at $COLUMNS or the terminal's.
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run_cli(argv)
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run_cli(argv) == narrow
+        assert narrow[0] == 0
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
@@ -561,9 +570,7 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == (0 if argv[0] == "number" else 2)
 
-    def test_help_through_python_dash_m(self, monkeypatch):
-        # The help text wraps at $COLUMNS, so both sides get the same width.
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_help_through_python_dash_m(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(

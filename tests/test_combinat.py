@@ -88,6 +88,12 @@ class TestRankUnrank:
             unrank(6, 4, 2)
         with pytest.raises(RangeError):
             unrank(-1, 4, 2)
+        # The scan calls math.comb unchecked: bad n and m are refused by the
+        # one binomial(n, m) call before it.
+        with pytest.raises(RangeError):
+            unrank(0, 63, 2)
+        with pytest.raises(ValidationError):
+            unrank(0, 5, -1)
 
     def test_rank_rejects_bad_labels(self):
         with pytest.raises(ValidationError):

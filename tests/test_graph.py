@@ -173,11 +173,18 @@ class TestNeighbors:
     @pytest.mark.parametrize("n,m", QUERY_SIZES)
     def test_matches_definition_at_labels_holding_1_or_n(self, n, m):
         p = JohnsonParams(n, m)
+        # Also the shapes that bound the merge of the runs before u: gaps of
+        # one element between the first m odd numbers (every gap at J(62,31)),
+        # and a single gap inside u, after its k-th element.
+        odd = [tuple(range(1, 2 * m, 2))] if 2 * m - 1 <= n else []
+        one_gap = [(*range(1, k + 1), *range(n - m + k + 1, n + 1)) for k in range(1, m)]
         for u in [
             tuple(range(1, m + 1)),
             tuple(range(n - m + 1, n + 1)),
             (1, *range(n - m + 2, n + 1)),
             (*range(1, m), n),
+            *odd,
+            *one_gap,
         ]:
             assert neighbors(u, p) == swap_neighbors(u, n), u
 
