@@ -50,7 +50,6 @@ from .cliques import (
     extend_to_maximal,
     intersection_of,
     is_clique,
-    members_of,
     union_of,
 )
 from .oracle import (

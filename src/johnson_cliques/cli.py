@@ -18,8 +18,8 @@ import re
 import sys
 import time
 from functools import cache, partial
-from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator
+from itertools import chain
+from typing import BinaryIO, Iterator
 
 from . import graph
 from .cliques import (
@@ -90,7 +90,7 @@ def _env_cap(default: int) -> int:
 # json.dumps builds a new encoder on every call with non-default separators.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-#: Lines per write in _write_lines: about 200 KB of clique lines at J(22,4).
+#: Clique lines per write: about 200 KB at J(22,4).
 _CHUNK_LINES = 4096
 
 
@@ -116,19 +116,6 @@ def _family_lines(p: JohnsonParams, kind: CliqueClass) -> Iterator[str]:
         yield from [a + rest for a in heads[: top[0] if top else p.n]]
 
 
-def _write_lines(tout, lines: Iterable[str], sep: str) -> int:
-    """Write ``lines`` separated by ``sep``, one write per _CHUNK_LINES lines;
-    return the number of lines."""
-    lines = iter(lines)
-    lead = ""
-    count = 0
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        tout.write(lead + sep.join(chunk))
-        lead = sep
-        count += len(chunk)
-    return count
-
-
 @cache
 def build_parser() -> _Parser:
     """The parser of every subcommand, built once per process. Parsing keeps
@@ -142,7 +129,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="export the graph")
     add_params(p)
-    p.add_argument("--format", required=True, choices=("dot", "json", "edgelist"))
+    p.add_argument("--format", required=True, choices=graph.EXPORT_FORMATS)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen)
 
@@ -227,7 +214,8 @@ def _cmd_cliques(args, out, tout, terr) -> int:
     else:
         kinds = [CliqueClass.MIN, CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    _write_lines(tout, chain.from_iterable(_family_lines(params, k) for k in kinds), "\n")
+    lines = chain.from_iterable(_family_lines(params, k) for k in kinds)
+    graph._write_chunked(tout.write, lines, "\n", _CHUNK_LINES)
     tout.write("\n")
     return 0
 
@@ -262,7 +250,8 @@ def _cmd_partition(args, out, tout, terr) -> int:
     # The parts stream: the head comes from the closed form, and the part
     # count is checked against it once the parts are written.
     tout.write(f'{{"cp":{clique_partition_number(params)},"parts":[')
-    _check_partition(params, kind, _write_lines(tout, _family_lines(params, kind), ","))
+    parts = graph._write_chunked(tout.write, _family_lines(params, kind), ",", _CHUNK_LINES)
+    _check_partition(params, kind, parts)
     tout.write("]}\n")
     return 0
 

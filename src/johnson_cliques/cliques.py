@@ -359,8 +359,3 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
     parts = tuple(_family(p, kind, _class_shape(p, kind)[0]))
     _check_partition(p, kind, len(parts))
     return CliquePartition(parts)
-
-
-def members_of(h: MaximalClique) -> tuple[Label, ...]:
-    """Member labels of a maximal clique, in colex order."""
-    return h.members()

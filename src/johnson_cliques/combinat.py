@@ -76,9 +76,12 @@ def colex_key(label: Label) -> tuple[int, ...]:
 
 
 def rank(label: Label, n: int) -> int:
-    """Colex rank of ``label`` among all subsets of {1..n} of its size."""
+    """Colex rank of ``label`` among all subsets of {1..n} of its size. n is
+    checked once, as in unrank(), so the sum needs no checks."""
+    if n > MAX_GROUND_SET:
+        raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
     validate_label(label, n)
-    return sum(binomial(e - 1, i) for i, e in enumerate(label, start=1))
+    return sum(math.comb(e - 1, i) for i, e in enumerate(label, start=1))
 
 
 def unrank(r: int, n: int, m: int) -> Label:

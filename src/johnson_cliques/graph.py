@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, zip_longest
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .combinat import (
     MAX_GROUND_SET,
@@ -238,8 +238,20 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
         if later
     )
     sink.write(opening.encode())
-    lead = ""
-    while chunk := list(islice(blocks, _CHUNK_VERTICES)):
-        sink.write((lead + sep.join(chunk)).encode())
-        lead = sep
+    _write_chunked(lambda text: sink.write(text.encode()), blocks, sep, _CHUNK_VERTICES)
     sink.write(closing.encode())
+
+
+def _write_chunked(
+    write: Callable[[str], object], items: Iterable[str], sep: str, size: int
+) -> int:
+    """Pass ``items``, separated by ``sep``, to ``write`` ``size`` items at a
+    time; return the number of items."""
+    items = iter(items)
+    lead = ""
+    count = 0
+    while chunk := list(islice(items, size)):
+        write(lead + sep.join(chunk))
+        lead = sep
+        count += len(chunk)
+    return count

@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .combinat import MAX_GROUND_SET, Label, binomial
 from .cliques import (
@@ -37,49 +37,42 @@ VERIFY_PHASES = ("materialize", "clique_search", "families", "edge_law", "partit
 
 @dataclass(frozen=True)
 class DenseGraph:
-    """Adjacency as one bit-set row per vertex: bit j of rows[i] means edge ij."""
+    """Adjacency as one bit-set row per vertex: bit j of rows[i] means edge ij.
+
+    The constructor raises ValidationError for the first row, in order, with
+    stray bits, a self-loop or a later bit j > i whose mirror (bit i of row
+    j) is missing. If every later bit is mirrored but an earlier bit is not,
+    it names the first earlier bit with no mirror, in row order.
+    """
 
     vertex_count: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.vertex_count:
-            raise ValidationError(
-                f"expected {self.vertex_count} adjacency rows, got {len(self.rows)}"
-            )
-        if not self._rows_ok():
-            self._raise_first_fault()
-
-    def _rows_ok(self) -> bool:
-        """Whether no row has stray bits or a self-loop and the rows are
-        symmetric. Each row tests only its later bits j > i against bit i of
-        row j. Mirroring maps later bits one to one into earlier bits, so if
-        there are as many earlier bits as later ones, it is onto: every
-        earlier bit is mirrored too."""
         nv, rows = self.vertex_count, self.rows
+        if len(rows) != nv:
+            raise ValidationError(f"expected {nv} adjacency rows, got {len(rows)}")
         bits = later = 0
         for i, row in enumerate(rows):
             bit_i = 1 << i
-            if row >> nv or row & bit_i:
-                return False
+            if row >> nv:
+                raise ValidationError(f"row {i} has bits beyond vertex {nv - 1}")
+            if row & bit_i:
+                raise ValidationError(f"self-loop at vertex {i}")
             bits += row.bit_count()
             rest = row & -(bit_i << 1)
             later += rest.bit_count()
             for j in _mask_vertices(rest):
                 if not rows[j] & bit_i:
-                    return False
-        return bits == 2 * later
-
-    def _raise_first_fault(self) -> None:
-        """Scan every bit of every row and raise for the first fault."""
-        for i, row in enumerate(self.rows):
-            if row >> self.vertex_count:
-                raise ValidationError(f"row {i} has bits beyond vertex {self.vertex_count - 1}")
-            if (row >> i) & 1:
-                raise ValidationError(f"self-loop at vertex {i}")
-            for j in _mask_vertices(row):
-                if not (self.rows[j] >> i) & 1:
                     raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
+        if bits != 2 * later:
+            # Mirroring maps the later bits, all mirrored, one to one into
+            # the earlier bits; there are more of those, so one has no mirror.
+            for i, row in enumerate(rows):
+                bit_i = 1 << i
+                for j in _mask_vertices(row & (bit_i - 1)):
+                    if not rows[j] & bit_i:
+                        raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -294,27 +287,25 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
     def masks_of(family) -> list[int]:
         return [sum(map(bit_of, h.members())) for h in family]
 
-    min_masks = masks_of(enumerate_min_cliques(p))
+    # (class, masks, k): each clique of a class is fixed by a k-set.
+    classes = [("class-min", masks_of(enumerate_min_cliques(p)), m + 1)]
     if p.degenerate:
-        max_masks: list[int] = []
         notes.append(
             "degenerate regime (n == m+1): the graph is complete, the sole maximal "
             "clique is the class-min one, and the class-max family is inapplicable"
         )
     else:
-        max_masks = masks_of(enumerate_max_cliques(p))
-    closed_min, closed_max = set(min_masks), set(max_masks)
-    if closed_min & closed_max:
+        classes.append(("class-max", masks_of(enumerate_max_cliques(p)), m - 1))
+    families = [set(masks) for _, masks, _ in classes]
+    closed = set().union(*families)
+    if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
-    closed = closed_min | closed_max
     closed_form_count = len(closed)
     sets_equal = set(oracle) == closed and len(oracle) == closed_form_count
-    if len(closed_min) != binomial(n, m + 1):
-        sets_equal = False
-        notes.append(f"class-min family has {len(closed_min)} cliques, expected C({n},{m + 1})")
-    if not p.degenerate and len(closed_max) != binomial(n, m - 1):
-        sets_equal = False
-        notes.append(f"class-max family has {len(closed_max)} cliques, expected C({n},{m - 1})")
+    for (name, _, k), family in zip(classes, families):
+        if len(family) != binomial(n, k):
+            sets_equal = False
+            notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
 
     clique_number_ok = max_size == clique_number(p)
     if not clique_number_ok:
@@ -326,9 +317,9 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
         == edge_count(p)
         == binomial(n, m - 1) * binomial(n - m + 1, 2)
     )
-    edge_law_ok = identity_ok and _covers_each_edge_once(min_masks, g.rows)
-    if not p.degenerate:
-        edge_law_ok = edge_law_ok and _covers_each_edge_once(max_masks, g.rows)
+    edge_law_ok = identity_ok and all(
+        _covers_each_edge_once(masks, g.rows) for _, masks, _ in classes
+    )
     if not edge_law_ok:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
@@ -380,24 +371,28 @@ def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> Ver
 
 
 def verify_range(
-    m_values: Iterable[int],
-    n_values: Iterable[int],
+    m_values: Container[int],
+    n_values: Container[int],
     jobs: int = 1,
     max_vertices: int = DEFAULT_MATERIALIZE_CAP,
 ) -> Iterator[VerificationReport | SkippedPair]:
-    """Verify every valid (n, m) pair, yielding each result in (m, n) order as
-    it is ready, whatever ``jobs`` is. A pair over ``max_vertices`` yields a
-    SkippedPair and the sweep goes on. ``jobs`` and ``max_vertices`` below 1
-    raise ValidationError at the call, before any pair is checked."""
+    """Verify each valid pair (n, m), m >= 2 and m+1 <= n <= MAX_GROUND_SET,
+    with m in ``m_values`` and n in ``n_values``: collections only tested
+    with ``in``, never iterated, so ranges of any width are cheap. Results
+    come in (m, n) order as they are ready, whatever ``jobs`` is. A pair over
+    ``max_vertices`` yields a SkippedPair and the sweep goes on. ``jobs`` and
+    ``max_vertices`` below 1 raise ValidationError at the call, before any
+    pair is checked."""
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if max_vertices < 1:
         raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
     pairs = [
         JohnsonParams(n, m)
-        for m in sorted(set(m_values))
-        for n in sorted(set(n_values))
-        if m >= 2 and m + 1 <= n <= MAX_GROUND_SET
+        for m in range(2, MAX_GROUND_SET)
+        if m in m_values
+        for n in range(m + 1, MAX_GROUND_SET + 1)
+        if n in n_values
     ]
     check = partial(_verify_or_skip, max_vertices=max_vertices)
     workers = _worker_count(jobs, len(pairs))

@@ -27,7 +27,6 @@ from johnson_cliques import (
     extend_to_maximal,
     materialize,
     maximal_cliques,
-    members_of,
     unrank,
     verify,
 )
@@ -147,7 +146,7 @@ def test_criterion_5_unique_extension(capsys):
         extensions = extend_to_maximal(Clique.from_labels(sample, p))
         if len(extensions) != 1:
             failures.append((n, m, sample, f"{len(extensions)} extensions"))
-        elif not set(sample) <= set(members_of(extensions[0])):
+        elif not set(sample) <= set(extensions[0].members()):
             failures.append((n, m, sample, "extension does not contain sample"))
         elif extensions[0] != h:
             failures.append((n, m, sample, "extension is not the source clique"))
@@ -161,7 +160,7 @@ def test_criterion_5_unique_extension(capsys):
         kinds = [e.kind for e in extensions]
         if kinds != [CliqueClass.MIN, CliqueClass.MAX]:
             failures.append((n, m, pair, f"edge extensions {kinds}"))
-        elif not all(set(pair) <= set(members_of(e)) for e in extensions):
+        elif not all(set(pair) <= set(e.members()) for e in extensions):
             failures.append((n, m, pair, "edge extension misses endpoints"))
     with capsys.disabled():
         _report(5, "sampled sub-cliques extend uniquely (pairs to one per class)", failures)

@@ -454,6 +454,10 @@ class TestVerify:
             assert t["counters"]["cliques_found"] == r["oracle_clique_count"]
             assert t["counters"]["expand_calls"] >= t["counters"]["cliques_found"]
 
+    def test_ranges_of_any_width_visit_only_valid_pairs(self):
+        wide = run_cli(["verify", "--m-range", "2..1000000000000", "--n-range", "3..5"])
+        assert wide[:2] == run_cli(["verify", "--m-range", "2..4", "--n-range", "3..5"])[:2]
+
     def test_malformed_range_is_usage_error(self):
         code, _, err = run_cli(["verify", "--m-range", "2-4", "--n-range", "4..6"])
         assert code == 1

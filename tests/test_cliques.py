@@ -28,7 +28,6 @@ from johnson_cliques import (
     is_clique,
     materialize,
     maximal_cliques,
-    members_of,
     union_of,
     unrank,
 )
@@ -126,7 +125,7 @@ class TestCliqueType:
 class TestMaximalCliqueType:
     def test_members_of_min(self):
         h = MaximalClique(J53, CliqueClass.MIN, (1, 2, 3, 5))
-        assert members_of(h) == ((1, 2, 3), (1, 2, 5), (1, 3, 5), (2, 3, 5))
+        assert h.members() == ((1, 2, 3), (1, 2, 5), (1, 3, 5), (2, 3, 5))
         assert h.size == 4
         for n, m in ACCEPTANCE_PAIRS + DEGENERATE_PAIRS:
             for clique in enumerate_min_cliques(JohnsonParams(n, m)):
@@ -135,12 +134,12 @@ class TestMaximalCliqueType:
 
     def test_members_of_max(self):
         h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
-        assert members_of(h) == ((1, 3, 4), (2, 3, 4), (3, 4, 5))
+        assert h.members() == ((1, 3, 4), (2, 3, 4), (3, 4, 5))
         assert h.size == 3
 
     def test_members_of_max_star(self):
         h = MaximalClique(J42, CliqueClass.MAX, (1,))
-        assert members_of(h) == ((1, 2), (1, 3), (1, 4))
+        assert h.members() == ((1, 2), (1, 3), (1, 4))
 
     def test_members_are_a_clique(self):
         for h in list(enumerate_min_cliques(J53)) + list(enumerate_max_cliques(J53)):
@@ -273,7 +272,7 @@ class TestExtend:
         (h,) = extend_to_maximal(c)
         assert h.kind is CliqueClass.MAX
         assert h.defining_set == (3, 4)
-        assert members_of(h) == ((1, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 6))
+        assert h.members() == ((1, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 6))
         # brute force: exactly one maximal clique of J_6(3,2) contains the sample
         g = materialize(p)
         labels = [unrank(r, 6, 3) for r in range(g.vertex_count)]
@@ -318,7 +317,7 @@ class TestExtend:
                 r = rng.randint(2, h.size)
                 sample = rng.sample(h.members(), r)
                 for ext in extend_to_maximal(Clique.from_labels(sample, p)):
-                    assert set(sample) <= set(members_of(ext))
+                    assert set(sample) <= set(ext.members())
 
 
 class TestEnumerations:

@@ -103,6 +103,12 @@ class TestRankUnrank:
         with pytest.raises(ValidationError):
             rank((0, 1), 4)
 
+    @pytest.mark.parametrize("label,n", [((1, 63), 63), ((1, 5), 100)])
+    def test_rank_refuses_n_above_the_bound(self, label, n):
+        # As unrank(0, 63, 2) does, whatever the label's elements are.
+        with pytest.raises(RangeError):
+            rank(label, n)
+
 
 class TestSetAlgebra:
     def test_examples(self):

@@ -1,4 +1,5 @@
 import pickle
+import re
 from itertools import combinations
 
 import pytest
@@ -86,6 +87,28 @@ class TestDenseGraph:
         with pytest.raises(ValidationError) as raised:
             DenseGraph(nv, tuple(rows))
         assert str(raised.value) == first_symmetry_fault(rows)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_several_flipped_bits_name_an_asymmetric_pair(self, data):
+        nv = data.draw(st.integers(2, 10))
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+        rows = [0] * nv
+        for i, j in data.draw(st.lists(st.sampled_from(pairs), unique=True)):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        ordered = [(i, j) for i in range(nv) for j in range(nv) if i != j]
+        for i, j in data.draw(st.lists(st.sampled_from(ordered), min_size=2, unique=True)):
+            rows[i] ^= 1 << j
+        if first_symmetry_fault(rows) is None:
+            # The flips restored every pair they touched.
+            assert DenseGraph(nv, tuple(rows)).rows == tuple(rows)
+            return
+        with pytest.raises(ValidationError) as raised:
+            DenseGraph(nv, tuple(rows))
+        i, j = map(int, re.fullmatch(r"adjacency not symmetric at \((\d+), (\d+)\)",
+                                     str(raised.value)).groups())
+        assert (rows[i] >> j) & 1 and not (rows[j] >> i) & 1
 
 
 def first_symmetry_fault(rows):
@@ -410,6 +433,23 @@ class TestVerifyRange:
         first = next(verify_range([2], range(3, 9)))
         assert first.params == JohnsonParams(3, 2)
         assert done == [JohnsonParams(3, 2)]
+
+    def test_ranges_are_only_tested_with_in(self):
+        class InOnly:
+            """Answers ``in`` like ``values``; iterating it fails the test."""
+
+            def __init__(self, values):
+                self.values = values
+
+            def __contains__(self, x):
+                return x in self.values
+
+            def __iter__(self):
+                raise AssertionError("verify_range iterated a range argument")
+
+        got = verify_range(InOnly(range(2, 10**12)), InOnly(range(3, 6)))
+        want = verify_range(range(2, 62), range(3, 6))
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
     def test_invalid_pairs_skipped(self):
         reports = verify_range([2, 3], [3, 4])
