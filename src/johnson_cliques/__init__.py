@@ -24,7 +24,6 @@ from .combinat import (
 )
 from .errors import InternalConsistencyError, RangeError, RegimeError, ValidationError
 from .graph import (
-    DEFAULT_EXPORT_CAP,
     Edge,
     JohnsonParams,
     are_adjacent,
@@ -53,7 +52,6 @@ from .cliques import (
     union_of,
 )
 from .oracle import (
-    DEFAULT_MATERIALIZE_CAP,
     DenseGraph,
     SkippedPair,
     VerificationReport,

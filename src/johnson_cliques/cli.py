@@ -21,7 +21,7 @@ from functools import cache, partial
 from itertools import chain
 from typing import BinaryIO, Iterator
 
-from . import graph
+from . import graph, oracle
 from .cliques import (
     Clique,
     ClassificationKind,
@@ -37,7 +37,7 @@ from .cliques import (
 from .combinat import MAX_GROUND_SET, iter_subsets_colex, parse_label, validate_label
 from .errors import InternalConsistencyError, ValidationError
 from .graph import JohnsonParams, are_adjacent, export
-from .oracle import DEFAULT_MATERIALIZE_CAP, SkippedPair, verify_range
+from .oracle import SkippedPair, verify_range
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)\Z")
 
@@ -279,7 +279,7 @@ def _cmd_number(args, out, tout, terr) -> int:
 def _cmd_verify(args, out, tout, terr) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    cap = _env_cap(DEFAULT_MATERIALIZE_CAP)
+    cap = _env_cap(oracle.DEFAULT_MATERIALIZE_CAP)
     start = time.perf_counter()
     total = passed = skipped = 0
     summed = 0.0

@@ -44,12 +44,12 @@ def make_label(elements: Iterable[int]) -> Label:
 
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
-    """Check that ``label`` is strictly increasing with elements in 1..n
+    """Check that ``label`` is strictly increasing with int elements in 1..n
     (and of size ``m`` when given); raise ValidationError otherwise."""
     prev = 0
     for e in label:
-        if e <= prev:
-            raise ValidationError(f"label {label!r} is not strictly increasing and positive")
+        if type(e) is not int or e <= prev:
+            raise ValidationError(f"label {label!r} is not strictly increasing positive ints")
         prev = e
     if prev > n:
         raise ValidationError(f"label {label!r} has element {prev} > n={n}")

@@ -28,7 +28,7 @@ from .combinat import (
 )
 from .errors import RangeError, ValidationError
 
-#: Largest graph export() will materialize by default.
+#: Largest graph edges() and export() list by default; read at each call.
 DEFAULT_EXPORT_CAP = 100_000
 
 EXPORT_FORMATS = ("dot", "json", "edgelist")
@@ -38,20 +38,20 @@ EXPORT_FORMATS = ("dot", "json", "edgelist")
 class JohnsonParams:
     """Parameters (n, m) of J_n(m, m-1).
 
-    Requires m >= 2 and n >= m + 1. The boundary n == m + 1 is accepted but
-    degenerate: the graph is the complete graph K_{m+1} and the closed-form
-    counting of fixed-core maximal cliques does not apply there (see the
-    cliques module).
+    Requires ints m >= 2 and n >= m + 1. The boundary n == m + 1 is
+    accepted but degenerate: the graph is the complete graph K_{m+1} and
+    the closed-form counting of fixed-core maximal cliques does not apply
+    there (see the cliques module).
     """
 
     n: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValidationError(f"m must be at least 2, got m={self.m}")
-        if self.n < self.m + 1:
-            raise ValidationError(f"n must be at least m+1={self.m + 1}, got n={self.n}")
+        if type(self.m) is not int or self.m < 2:
+            raise ValidationError(f"m must be an int of at least 2, got m={self.m!r}")
+        if type(self.n) is not int or self.n < self.m + 1:
+            raise ValidationError(f"n must be an int of at least m+1={self.m + 1}, got n={self.n!r}")
         if self.n > MAX_GROUND_SET:
             raise RangeError(f"n={self.n} exceeds the supported bound n <= {MAX_GROUND_SET}")
 
@@ -161,17 +161,14 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
     """All edges exactly once as (u, v) label pairs, sorted by (colex rank
     of u, colex rank of v).
 
-    Before the first edge it holds all C(n, m) labels, their bit masks and
-    a mask -> rank dict, O(C(n, m)) memory; the edges themselves are
-    streamed from each vertex's later neighbour ranks, as the walk yields
-    them. So, like export(), it refuses graphs with more than
-    DEFAULT_EXPORT_CAP vertices (RangeError) before it lists any label.
+    Like export(), the call refuses a graph over DEFAULT_EXPORT_CAP vertices,
+    read when the call is made, with RangeError before it lists any label. It
+    then holds all C(n, m) labels, their bit masks and a mask -> rank dict,
+    O(C(n, m)) memory, and streams the edges from the walk's later ranks.
     """
     _check_cap(p, DEFAULT_EXPORT_CAP, "export")
     labels, later_ranks = _swap_walk(p)
-    for u, later in zip(labels, later_ranks):
-        for j in later:
-            yield u, labels[j]
+    return ((u, labels[j]) for u, later in zip(labels, later_ranks) for j in later)
 
 
 def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
@@ -202,7 +199,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
                         with vertices in colex order and edges as rank pairs.
 
     Refuses caps below 1, graphs with more than ``max_vertices`` vertices
-    (default: DEFAULT_EXPORT_CAP, read at call time as edges() does), and
+    (default: DEFAULT_EXPORT_CAP, read when the call is made), and
     unknown formats, before any work. Like edges(), it holds all C(n, m)
     labels and their bit masks, O(C(n, m)) memory. The formats differ only
     in each vertex's name (the label, its DOT id or its rank) and the fixed

@@ -28,7 +28,7 @@ from .cliques import (
 from .errors import InternalConsistencyError, RangeError, ValidationError
 from .graph import JohnsonParams, _check_cap, _swap_walk, edge_count
 
-#: Largest graph verify()/materialize() will build by default.
+#: Largest graph the oracle builds by default; every entry point reads it at the call.
 DEFAULT_MATERIALIZE_CAP = 2000
 
 #: The phases verify() times, in the order it runs them.
@@ -81,17 +81,18 @@ class DenseGraph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def materialize(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> DenseGraph:
-    """Build the explicit graph; vertex i carries the label of colex rank i."""
+def materialize(p: JohnsonParams, max_vertices: int | None = None) -> DenseGraph:
+    """Build the explicit graph; vertex i carries the label of colex rank i.
+    The cap is ``max_vertices``, or DEFAULT_MATERIALIZE_CAP read at the call."""
     return _build(p, max_vertices)[1]
 
 
-def _build(p: JohnsonParams, max_vertices: int) -> tuple[list[Label], DenseGraph]:
+def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
     """The labels in colex order and the graph whose vertex i is labels[i];
     row i has the bits of vertex i's single-swap neighbour ranks. The walk
     yields each edge once, from its earlier end, so each later rank j also
     sets bit i of row j."""
-    _check_cap(p, max_vertices, "materialization")
+    _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
     labels, later_ranks = _swap_walk(p)
     rows = [0] * len(labels)
     for i, later in enumerate(later_ranks):
@@ -245,8 +246,9 @@ def _covers_each_edge_once(masks: Iterable[int], rows: tuple[int, ...]) -> bool:
     return cover == list(rows)
 
 
-def verify(p: JohnsonParams, max_vertices: int = DEFAULT_MATERIALIZE_CAP) -> VerificationReport:
-    """Run every closed-form claim for one (n, m) against the oracle."""
+def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
+    """Run every closed-form claim for one (n, m) against the oracle. The
+    cap is materialize()'s: ``max_vertices``, or the default read at the call."""
     marks = [time.perf_counter()]
     labels, g = _build(p, max_vertices)
     marks.append(time.perf_counter())
@@ -374,17 +376,19 @@ def verify_range(
     m_values: Container[int],
     n_values: Container[int],
     jobs: int = 1,
-    max_vertices: int = DEFAULT_MATERIALIZE_CAP,
+    max_vertices: int | None = None,
 ) -> Iterator[VerificationReport | SkippedPair]:
     """Verify each valid pair (n, m), m >= 2 and m+1 <= n <= MAX_GROUND_SET,
     with m in ``m_values`` and n in ``n_values``: collections only tested
     with ``in``, never iterated, so ranges of any width are cheap. Results
     come in (m, n) order as they are ready, whatever ``jobs`` is. A pair over
-    ``max_vertices`` yields a SkippedPair and the sweep goes on. ``jobs`` and
-    ``max_vertices`` below 1 raise ValidationError at the call, before any
-    pair is checked."""
+    ``max_vertices`` (default: DEFAULT_MATERIALIZE_CAP, read once at the call,
+    for every worker) yields a SkippedPair and the sweep goes on. ``jobs``
+    and ``max_vertices`` below 1 raise ValidationError at the call, before
+    any pair is checked."""
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    max_vertices = DEFAULT_MATERIALIZE_CAP if max_vertices is None else max_vertices
     if max_vertices < 1:
         raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
     pairs = [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
 import johnson_cliques.cliques as cliques_module
+import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     MAX_GROUND_SET,
     CliqueClass,
@@ -461,6 +462,16 @@ class TestVerify:
     def test_malformed_range_is_usage_error(self):
         code, _, err = run_cli(["verify", "--m-range", "2-4", "--n-range", "4..6"])
         assert code == 1
+
+    def test_reads_the_materialization_cap_at_call_time(self, monkeypatch):
+        monkeypatch.delenv("JOHNSON_MAX_VERTICES", raising=False)
+        monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
+        code, out, err = run_cli(["verify", "--m-range", "3..3", "--n-range", "5..5"])
+        assert code == 2
+        assert out == (
+            b'{"n":5,"m":3,"skipped":"graph has 10 vertices, above the materialization cap 5"}\n'
+        )
+        assert b"0/1 pairs passed" in err and b"1 skipped over the materialization cap 5" in err
 
     def test_materialization_cap_env(self, monkeypatch):
         monkeypatch.setenv("JOHNSON_MAX_VERTICES", "5")

@@ -4,17 +4,24 @@ from hypothesis import strategies as st
 
 from johnson_cliques import (
     MAX_GROUND_SET,
+    Clique,
+    CliqueClass,
+    JohnsonParams,
+    MaximalClique,
     RangeError,
     ValidationError,
+    are_adjacent,
     binomial,
     format_label,
     intersection_of,
     iter_subsets_colex,
     make_label,
+    neighbors,
     parse_label,
     rank,
     union_of,
     unrank,
+    validate_label,
 )
 from helpers import colex_subsets, pascal_binomial, pascal_triangle
 
@@ -173,6 +180,36 @@ class TestLabelText:
     def test_canonical_text_roundtrip(self, elements):
         text = "{" + ",".join(str(e) for e in sorted(elements)) + "}"
         assert format_label(parse_label(text)) == text
+
+
+# Each call hands a label element or a parameter that is not an int to an
+# entry point; each must be refused with ValidationError before any
+# comparison (a str would raise TypeError there, a float would pass).
+NON_INT_CALLS = {
+    "clique_from_float_labels": lambda: Clique.from_labels(
+        [(1.5, 2), (1.5, 3)], JohnsonParams(5, 2)
+    ),
+    "maximal_clique_float_set": lambda: MaximalClique(
+        JohnsonParams(5, 2), CliqueClass.MIN, (1, 2.5, 3)
+    ),
+    "make_label_float": lambda: make_label([2.5, 1]),
+    "params_float_n": lambda: JohnsonParams(5.5, 3),
+    "params_str_n": lambda: JohnsonParams("5", 3),
+    "params_float_m": lambda: JohnsonParams(5, 3.0),
+    "params_bool_m": lambda: JohnsonParams(5, True),
+    "are_adjacent_float": lambda: are_adjacent((1.5, 2), (1.5, 3)),
+    "validate_label_str": lambda: validate_label(("1", "2"), 5),
+    "validate_label_bool": lambda: validate_label((True, 2), 5),
+    "rank_float": lambda: rank((1.5, 2), 5),
+    "neighbors_float": lambda: neighbors((1.5, 2), JohnsonParams(5, 2)),
+}
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("call", NON_INT_CALLS.values(), ids=list(NON_INT_CALLS))
+    def test_non_int_input_is_refused(self, call):
+        with pytest.raises(ValidationError, match="int"):
+            call()
 
 
 class TestColexStream:

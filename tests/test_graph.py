@@ -219,6 +219,11 @@ class TestEdges:
             next(edges(JohnsonParams(6, 3)))
 
 
+    def test_over_cap_graph_refused_at_the_call(self, monkeypatch):
+        monkeypatch.setattr(graph, "_swap_walk", lambda p: pytest.fail("labels listed"))
+        with pytest.raises(RangeError, match="137846528820 vertices, above the export cap 100000"):
+            edges(JohnsonParams(40, 20))
+
     def test_export_reads_the_cap_at_call_time(self, monkeypatch):
         monkeypatch.setattr(graph, "DEFAULT_EXPORT_CAP", 10)
         sink = io.BytesIO()

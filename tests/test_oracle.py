@@ -145,6 +145,12 @@ class TestMaterialize:
         with pytest.raises(ValidationError, match=f"max_vertices must be at least 1, got {cap}"):
             materialize(JohnsonParams(5, 2), max_vertices=cap)
 
+    def test_reads_the_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
+        with pytest.raises(RangeError, match="10 vertices, above the materialization cap 5"):
+            materialize(JohnsonParams(5, 3))
+        assert materialize(JohnsonParams(4, 3)).vertex_count == 4
+
     def test_vertex_order_is_colex(self):
         p = JohnsonParams(5, 3)
         g = materialize(p)
@@ -289,6 +295,11 @@ class TestVerify:
         with pytest.raises(ValidationError, match=f"max_vertices must be at least 1, got {cap}"):
             verify(JohnsonParams(5, 2), max_vertices=cap)
 
+    def test_reads_the_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
+        with pytest.raises(RangeError, match="10 vertices, above the materialization cap 5"):
+            verify(JohnsonParams(5, 3))
+
     def test_report_serialization_is_stable(self):
         a = verify(JohnsonParams(5, 3)).to_dict()
         b = verify(JohnsonParams(5, 3)).to_dict()
@@ -425,6 +436,19 @@ class TestVerifyRange:
             "m": 2,
             "skipped": "graph has 21 vertices, above the materialization cap 20",
         }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reads_the_cap_once_at_the_call(self, monkeypatch, jobs):
+        # The cap in force at the call holds for every pair and every
+        # worker, whatever the default is when the pairs are run.
+        monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
+        results = verify_range([3], [4, 5], jobs=jobs)
+        monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 2000)
+        first, second = results
+        assert isinstance(first, VerificationReport) and first.passed
+        assert second == SkippedPair(
+            JohnsonParams(5, 3), "graph has 10 vertices, above the materialization cap 5"
+        )
 
     def test_results_stream_one_pair_at_a_time(self, monkeypatch):
         done = []
