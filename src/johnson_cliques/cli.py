@@ -258,20 +258,13 @@ def _cmd_partition(args, out, tout, terr) -> int:
 
 def _cmd_number(args, out, tout, terr) -> int:
     params = JohnsonParams(args.n, args.m)
-    cp = clique_partition_number(params)
     payload = {
         "n": params.n,
         "m": params.m,
         "clique_number": clique_number(params),
-        "clique_partition_number": cp,
+        "clique_partition_number": clique_partition_number(params),
         "degenerate": params.degenerate,
     }
-    if params.degenerate:
-        payload["note"] = (
-            f"degenerate regime: the graph is complete; the partition formula value {cp} "
-            f"counts one part per edge, while a single clique (the whole graph) already "
-            f"covers every edge"
-        )
     tout.write(_dumps(payload) + "\n")
     return 0
 

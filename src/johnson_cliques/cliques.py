@@ -112,6 +112,8 @@ class Clique:
     members: tuple[Label, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.members, tuple):
+            raise ValidationError(f"clique members must be a tuple of labels, got {self.members!r}")
         for lab in self.members:
             validate_label(lab, self.params.n, self.params.m)
         if not _forms_clique(self.members):
@@ -258,9 +260,11 @@ def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
     """(defining-set size, member count) of the class-``kind`` cliques:
     (m+1, m+1) for class min, (m-1, n-m+1) for class max.
 
-    Raises RegimeError for class max in the degenerate regime n == m+1,
-    where those candidates are not maximal.
+    Raises ValidationError for a ``kind`` that is not a CliqueClass, and
+    RegimeError for class max at n == m+1, where it is not maximal.
     """
+    if not isinstance(kind, CliqueClass):
+        raise ValidationError(f"clique class must be a CliqueClass, got {kind!r}")
     if kind is CliqueClass.MIN:
         return p.m + 1, p.m + 1
     if p.degenerate:
@@ -304,27 +308,14 @@ def clique_number(p: JohnsonParams) -> int:
 
 def clique_partition_number(p: JohnsonParams) -> int:
     """Number of parts in the edge partition built by clique_partition:
-    C(n, m-1) when n < 2m, else C(n, m+1).
-
-    In the degenerate regime n == m+1 the value equals the edge count
-    (each part would be a single edge), while one clique, the whole graph,
-    already covers every edge; callers should check ``p.degenerate`` and
-    surface that discrepancy rather than treat the value as attained.
-    """
-    if p.n < 2 * p.m:
-        return binomial(p.n, p.m - 1)
-    return binomial(p.n, p.m + 1)
+    C(n, m-1) when m+2 <= n < 2m, else C(n, m+1), which is 1 at n == m+1."""
+    return binomial(p.n, _class_shape(p, _partition_class(p))[0])
 
 
 def _partition_class(p: JohnsonParams) -> CliqueClass:
-    """The class whose family partitions the edges in clique_partition.
-    Raises RegimeError in the degenerate regime n == m+1."""
-    if p.degenerate:
-        raise RegimeError(
-            f"no class partition in the degenerate regime n == m+1: the whole graph "
-            f"is one clique (n={p.n}, m={p.m})"
-        )
-    return CliqueClass.MAX if p.n < 2 * p.m else CliqueClass.MIN
+    """The class whose family partitions the edges in clique_partition:
+    class max when m+2 <= n < 2m, class min otherwise."""
+    return CliqueClass.MAX if p.m + 2 <= p.n < 2 * p.m else CliqueClass.MIN
 
 
 def _check_partition(p: JohnsonParams, kind: CliqueClass, parts: int) -> None:
@@ -349,11 +340,10 @@ def _check_partition(p: JohnsonParams, kind: CliqueClass, parts: int) -> None:
 def clique_partition(p: JohnsonParams) -> CliquePartition:
     """Partition the edge set into maximal cliques of a single class.
 
-    Uses the class-max family when n < 2m and the class-min family when
-    n >= 2m (at n == 2m both families have the same size and class min is
-    returned), so that the part count equals clique_partition_number. The
-    part count and the covered edge count are checked in O(1). Requires
-    n >= m+2.
+    Uses the class-max family when m+2 <= n < 2m and the class-min family
+    otherwise (at n == 2m both families have the same size; at n == m+1 the
+    one class-min clique is the whole graph). The part count and the covered
+    edge count are checked in O(1).
     """
     kind = _partition_class(p)
     parts = tuple(_family(p, kind, _class_shape(p, kind)[0]))

@@ -27,10 +27,10 @@ def binomial(n: int, k: int) -> int:
     """Exact C(n, k); 0 when k > n.
 
     Raises RangeError for n > MAX_GROUND_SET instead of growing without
-    bound, and ValidationError for negative arguments.
+    bound, and ValidationError for arguments that are not non-negative ints.
     """
-    if n < 0 or k < 0:
-        raise ValidationError(f"binomial requires non-negative arguments, got ({n}, {k})")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValidationError(f"binomial requires non-negative int arguments, got ({n!r}, {k!r})")
     if n > MAX_GROUND_SET:
         raise RangeError(f"binomial(n={n}) exceeds the supported bound n <= {MAX_GROUND_SET}")
     return math.comb(n, k)
@@ -44,8 +44,10 @@ def make_label(elements: Iterable[int]) -> Label:
 
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
-    """Check that ``label`` is strictly increasing with int elements in 1..n
-    (and of size ``m`` when given); raise ValidationError otherwise."""
+    """Check that ``label`` is a tuple, strictly increasing with int elements
+    in 1..n (and of size ``m`` when given); raise ValidationError otherwise."""
+    if not isinstance(label, tuple):
+        raise ValidationError(f"label {label!r} is not a tuple")
     prev = 0
     for e in label:
         if type(e) is not int or e <= prev:
@@ -88,6 +90,8 @@ def unrank(r: int, n: int, m: int) -> Label:
     """The m-subset of {1..n} with colex rank ``r`` (inverse of rank). The
     one binomial(n, m) call checks n and m, so the scan needs no checks."""
     total = binomial(n, m)
+    if type(r) is not int:
+        raise ValidationError(f"rank must be an int, got {r!r}")
     if not 0 <= r < total:
         raise RangeError(f"rank {r} out of range 0..{total - 1} for C({n},{m})")
     out = []
@@ -105,7 +109,10 @@ def unrank(r: int, n: int, m: int) -> Label:
 
 
 def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
-    """All k-subsets of {1..n} in colex order, generated lazily."""
+    """All k-subsets of {1..n} in colex order, generated lazily. Raises
+    ValidationError, at the first item, for an n or k that is not an int."""
+    if type(n) is not int or type(k) is not int:
+        raise ValidationError(f"iter_subsets_colex requires int arguments, got ({n!r}, {k!r})")
     if k < 0 or k > n:
         return
     if k == 0:

@@ -169,8 +169,8 @@ class VerificationReport:
     """Outcome of checking one (n, m) pair against the brute-force oracle.
 
     All checks are reported, never raised. ``notes`` carries explanations,
-    in particular the degenerate-regime discrepancy between the partition
-    formula value and the actual minimum (a single clique).
+    in particular that the class-max family does not apply in the
+    degenerate regime n == m+1.
     ``phase_seconds`` holds the time of each of VERIFY_PHASES; ``counters``
     holds vertices, edges, Bron-Kerbosch expand calls and cliques found.
     """
@@ -326,24 +326,16 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
-    if p.degenerate:
-        cp_formula = clique_partition_number(p)
-        partition_ok = _covers_each_edge_once([(1 << g.vertex_count) - 1], g.rows)
-        notes.append(
-            f"degenerate regime: the partition formula gives {cp_formula} (one part per edge) "
-            f"but the whole graph is a single clique covering every edge, so the true minimum is 1"
+    try:
+        part = clique_partition(p)
+        partition_ok = (
+            len(part.parts) == clique_partition_number(p)
+            and part.covered_edge_count == edge_count(p)
+            and _covers_each_edge_once(masks_of(part.parts), g.rows)
         )
-    else:
-        try:
-            part = clique_partition(p)
-            partition_ok = (
-                len(part.parts) == clique_partition_number(p)
-                and part.covered_edge_count == edge_count(p)
-                and _covers_each_edge_once(masks_of(part.parts), g.rows)
-            )
-        except InternalConsistencyError as exc:
-            partition_ok = False
-            notes.append(f"partition failed: {exc}")
+    except InternalConsistencyError as exc:
+        partition_ok = False
+        notes.append(f"partition failed: {exc}")
     marks.append(time.perf_counter())
 
     return VerificationReport(

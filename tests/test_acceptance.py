@@ -219,12 +219,11 @@ def test_criterion_7_degenerate_regime(capsys):
         report = verify(p)
         if not (report.degenerate and report.passed and report.oracle_clique_count == 1):
             failures.append((n, m, "verify should pass and flag the regime"))
-        if not any("true minimum is 1" in note for note in report.notes):
-            failures.append((n, m, "partition-formula discrepancy not surfaced"))
-        if clique_partition_number(p) != edge_count(p):
-            failures.append((n, m, "formula value should equal the edge count here"))
+        part = clique_partition(p)
+        if clique_partition_number(p) != 1 or part.parts != tuple(min_family):
+            failures.append((n, m, "the partition should be the one whole-graph clique"))
     with capsys.disabled():
-        _report(7, "degenerate boundary n=m+1 is reported, not hidden", failures)
+        _report(7, "degenerate boundary n=m+1: one maximal clique, one part", failures)
 
 
 GOLDEN_CASES = [

@@ -167,8 +167,6 @@ def _expected_stream(argv):
         return json.dumps(h.to_dict(), separators=(",", ":")) + "\n"
 
     if argv[0] == "partition":
-        if p.degenerate:
-            return 2, b""
         return 0, json.dumps(clique_partition(p).to_dict(), separators=(",", ":")).encode() + b"\n"
     clique_class = argv[6]
     if clique_class == "max" and p.degenerate:
@@ -349,10 +347,12 @@ class TestPartition:
         assert payload["cp"] == 4
         assert len(payload["parts"]) == 4
 
-    def test_degenerate_rejected(self):
-        code, _, err = run_cli(["partition", "--n", "4", "--m", "3"])
-        assert code == 2
-        assert b"whole graph" in err
+    def test_degenerate_whole_graph_is_one_part(self):
+        code, out, _ = run_cli(["partition", "--n", "4", "--m", "3"])
+        assert code == 0
+        assert out == (
+            b'{"cp":1,"parts":[{"class":"min","set":[1,2,3,4],"n":4,"m":3,"size":4}]}\n'
+        )
 
 
 class TestNumber:
@@ -368,13 +368,17 @@ class TestNumber:
             "degenerate": False,
         }
 
-    def test_degenerate_note(self):
+    def test_degenerate_value_is_one(self):
         code, out, _ = run_cli(["number", "--n", "4", "--m", "3"])
         assert code == 0
         payload = json.loads(out.decode())
-        assert payload["degenerate"] is True
-        assert payload["clique_partition_number"] == 6
-        assert "whole graph" in payload["note"]
+        assert payload == {
+            "n": 4,
+            "m": 3,
+            "clique_number": 4,
+            "clique_partition_number": 1,
+            "degenerate": True,
+        }
 
 
 class TestVerify:
@@ -671,6 +675,7 @@ GOLDEN_CASES = [
     ("verify_m2-4_n3-9.jsonl", ["verify", "--m-range", "2..4", "--n-range", "3..9"]),
     ("j_5_3.partition.json", ["partition", "--n", "5", "--m", "3"]),
     ("j_6_3.partition.json", ["partition", "--n", "6", "--m", "3"]),
+    ("j_4_3.partition.json", ["partition", "--n", "4", "--m", "3"]),
 ]
 
 

@@ -204,6 +204,16 @@ class TestMaximalCliqueType:
         with pytest.raises(RegimeError):
             MaximalClique(JohnsonParams(4, 3), CliqueClass.MAX, (1, 2))
 
+    @pytest.mark.parametrize(
+        "kind,defining_set",
+        [("max", (3, 4)), ("bogus", (3, 4)), ("min", (1, 2, 3, 4)), (None, (3, 4))],
+    )
+    def test_kind_must_be_a_clique_class(self, kind, defining_set):
+        # A str equal to a class value is not a class: it would reach
+        # to_dict() without .value, or size as class max.
+        with pytest.raises(ValidationError, match="CliqueClass"):
+            MaximalClique(J53, kind, defining_set)
+
     def test_serialization(self):
         h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
         assert h.to_dict() == {"class": "max", "set": [3, 4], "n": 5, "m": 3, "size": 3}
@@ -397,10 +407,7 @@ class TestPartitionNumber:
         assert clique_partition_number(J42) == 4
         assert clique_partition_number(J53) == 10
         assert clique_partition_number(JohnsonParams(6, 3)) == 15
-
-    def test_degenerate_value_equals_edge_count(self):
-        p = JohnsonParams(3, 2)
-        assert clique_partition_number(p) == edge_count(p) == 3
+        assert clique_partition_number(JohnsonParams(3, 2)) == 1
 
     # A part covers at most C(omega, 2) edges, so a partition into
     # clique_partition_number(p) parts is minimum only if this bound is met.
@@ -413,10 +420,15 @@ class TestPartitionNumber:
         for m in range(2, 32):
             assert self.meets_edge_bound(2 * m, m), (2 * m, m)
 
+    def test_edge_bound_met_at_n_equals_m_plus_1(self):
+        # The graph is K_{m+1}: one clique, the whole graph, covers every edge.
+        for m in range(2, 62):
+            assert self.meets_edge_bound(m + 1, m), (m + 1, m)
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 1: clique_partition_number gives the larger clique "
-        "family when n != 2m, so it misses the edge bound",
+        "family when m+2 <= n != 2m, so it misses the edge bound",
     )
     def test_edge_bound_met_off_n_equals_2m(self):
         missed = [
@@ -453,9 +465,12 @@ class TestPartition:
         per_part = len(part.parts[0].members()) * (len(part.parts[0].members()) - 1) // 2
         assert len(part.parts) * per_part == 90 == edge_count(p)
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(RegimeError):
-            clique_partition(JohnsonParams(3, 2))
+    def test_degenerate_whole_graph_is_one_part(self):
+        for n, m in DEGENERATE_PAIRS:
+            p = JohnsonParams(n, m)
+            part = clique_partition(p)
+            assert part.parts == (MaximalClique(p, CliqueClass.MIN, tuple(range(1, n + 1))),)
+            assert part.covered_edge_count == edge_count(p)
 
     def test_no_parts_cover_no_edges(self):
         assert CliquePartition(()).covered_edge_count == 0

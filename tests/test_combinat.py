@@ -202,6 +202,13 @@ NON_INT_CALLS = {
     "validate_label_bool": lambda: validate_label((True, 2), 5),
     "rank_float": lambda: rank((1.5, 2), 5),
     "neighbors_float": lambda: neighbors((1.5, 2), JohnsonParams(5, 2)),
+    "binomial_float_n": lambda: binomial(5.5, 2),
+    "binomial_bool_k": lambda: binomial(5, True),
+    "unrank_float_rank": lambda: unrank(1.5, 5, 2),
+    "unrank_str_n": lambda: unrank(1, "5", 2),
+    "unrank_bool_m": lambda: unrank(1, 5, True),
+    "iter_subsets_float_n": lambda: list(iter_subsets_colex(5.5, 2)),
+    "iter_subsets_bool_k": lambda: list(iter_subsets_colex(5, True)),
 }
 
 
@@ -210,6 +217,35 @@ class TestIntegerInputs:
     def test_non_int_input_is_refused(self, call):
         with pytest.raises(ValidationError, match="int"):
             call()
+
+
+# Each call hands a label that is not a tuple to an entry point that takes
+# a label as it is; each must be refused with ValidationError, not accepted
+# (a list would rank as a tuple) or left to fail later with TypeError.
+NON_TUPLE_CALLS = {
+    "validate_label_int": lambda: validate_label(5, 5),
+    "validate_label_list": lambda: validate_label([1, 2], 5),
+    "are_adjacent_int": lambda: are_adjacent(5, (1, 2)),
+    "neighbors_list": lambda: neighbors([1, 2], JohnsonParams(5, 2)),
+    "rank_list": lambda: rank([1, 2], 5),
+    "maximal_clique_list_set": lambda: MaximalClique(
+        JohnsonParams(5, 3), CliqueClass.MIN, [1, 2, 3, 4]
+    ),
+    "clique_list_members": lambda: Clique(JohnsonParams(5, 2), [(1, 2)]),
+}
+
+
+class TestTupleLabels:
+    @pytest.mark.parametrize("call", NON_TUPLE_CALLS.values(), ids=list(NON_TUPLE_CALLS))
+    def test_non_tuple_label_is_refused(self, call):
+        with pytest.raises(ValidationError, match="tuple"):
+            call()
+
+    def test_normalizing_entry_points_still_take_any_iterable(self):
+        p = JohnsonParams(5, 2)
+        assert Clique.from_labels([[1, 2], [1, 3]], p).members == ((1, 2), (1, 3))
+        assert intersection_of([[1, 2], [1, 3]]) == (1,)
+        assert union_of([[1, 2], [1, 3]]) == (1, 2, 3)
 
 
 class TestColexStream:

@@ -283,8 +283,11 @@ class TestVerify:
         assert report.passed
         assert report.oracle_clique_count == 1
         assert report.closed_form_count == 1
-        assert any("class-max family is inapplicable" in note for note in report.notes)
-        assert any("true minimum is 1" in note for note in report.notes)
+        assert report.partition_ok
+        assert report.notes == (
+            "degenerate regime (n == m+1): the graph is complete, the sole maximal "
+            "clique is the class-min one, and the class-max family is inapplicable",
+        )
 
     def test_cap_propagates(self):
         with pytest.raises(RangeError):
