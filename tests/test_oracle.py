@@ -10,6 +10,7 @@ import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     CliquePartition,
     DenseGraph,
+    InternalConsistencyError,
     JohnsonParams,
     RangeError,
     SkippedPair,
@@ -335,14 +336,22 @@ class TestVerify:
         assert not report.partition_ok
         assert not report.passed
 
-    @pytest.mark.parametrize("family", ["enumerate_min_cliques", "enumerate_max_cliques"])
-    def test_dropped_clique_is_reported(self, monkeypatch, family):
+    @pytest.mark.parametrize(
+        "family,note",
+        [
+            ("enumerate_min_cliques", "class-min family has 4 cliques, expected C(5,4)"),
+            ("enumerate_max_cliques", "class-max family has 9 cliques, expected C(5,2)"),
+        ],
+        ids=["enumerate_min_cliques", "enumerate_max_cliques"],
+    )
+    def test_dropped_clique_is_reported(self, monkeypatch, family, note):
         real = getattr(oracle, family)
         monkeypatch.setattr(oracle, family, lambda p: list(real(p))[1:])
         report = verify(JohnsonParams(5, 3))
         assert not report.sets_equal
         assert not report.edge_law_ok
         assert not report.passed
+        assert note in report.notes
 
     @pytest.mark.parametrize("family", ["enumerate_min_cliques", "enumerate_max_cliques"])
     def test_duplicated_clique_is_reported(self, monkeypatch, family):
@@ -355,6 +364,34 @@ class TestVerify:
         assert not report.edge_law_ok
         assert not report.passed
         assert "edge law failed: some edge is not in exactly one clique per class" in report.notes
+
+    def test_wrong_clique_number_is_reported(self, monkeypatch):
+        real = oracle.clique_number
+        monkeypatch.setattr(oracle, "clique_number", lambda p: real(p) + 1)
+        report = verify(JohnsonParams(5, 3))
+        assert report.to_dict()["clique_number_ok"] is False
+        assert not report.passed
+        assert "observed maximum clique size 4, formula gives 5" in report.notes
+
+    def test_overlapping_families_are_reported(self, monkeypatch):
+        # The class-max family replaced by the class-min one: the two
+        # overlap, and the class-max count is C(5,4), not C(5,2).
+        monkeypatch.setattr(oracle, "enumerate_max_cliques", oracle.enumerate_min_cliques)
+        report = verify(JohnsonParams(5, 3))
+        assert report.to_dict()["sets_equal"] is False
+        assert not report.passed
+        assert "class-min and class-max families overlap; they must be disjoint" in report.notes
+        assert "class-max family has 5 cliques, expected C(5,2)" in report.notes
+
+    def test_failed_partition_is_reported(self, monkeypatch):
+        def fail(p):
+            raise InternalConsistencyError("forced")
+
+        monkeypatch.setattr(oracle, "clique_partition", fail)
+        report = verify(JohnsonParams(5, 3))
+        assert report.to_dict()["partition_ok"] is False
+        assert not report.passed
+        assert "partition failed: forced" in report.notes
 
     @pytest.mark.parametrize(
         "n,m,vertices,edges,cliques,expand_calls",
