@@ -80,6 +80,8 @@ def colex_key(label: Label) -> tuple[int, ...]:
 def rank(label: Label, n: int) -> int:
     """Colex rank of ``label`` among all subsets of {1..n} of its size. n is
     checked once, as in unrank(), so the sum needs no checks."""
+    if type(n) is not int:
+        raise ValidationError(f"rank requires an int n, got {n!r}")
     if n > MAX_GROUND_SET:
         raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
     validate_label(label, n)

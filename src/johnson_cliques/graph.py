@@ -172,17 +172,20 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
 
 
 def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
-    """Refuse a cap below 1 (ValidationError) and a graph with more than
+    """Refuse a cap as _check_knob does, and a graph with more than
     ``max_vertices`` vertices (RangeError, naming the ``cap``)."""
-    if max_vertices < 1:
-        raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
+    _check_knob("max_vertices", max_vertices)
     nv = vertex_count(p)
     if nv > max_vertices:
         raise RangeError(f"graph has {nv} vertices, above the {cap} cap {max_vertices}")
 
 
-def _node_id(label: Label) -> str:
-    return "_".join(str(e) for e in label)
+def _check_knob(name: str, value: int) -> None:
+    """Refuse a resource knob that is not an int (a bool included) of at least 1."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1, got {value}")
 
 
 #: Vertices whose edge lines export() joins into one write.
@@ -218,7 +221,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
         opening = closing = ""
         left, mid, right, sep = "", " -- ", "\n", ""
     elif fmt == "dot":
-        names = [_node_id(u) for u in labels]
+        names = ["_".join(map(str, u)) for u in labels]
         opening, closing = f"graph J_{p.n}_{p.m} {{\n", "}\n"
         left, mid, right, sep = '  "', '" -- "', '";\n', ""
     else:

@@ -26,7 +26,7 @@ from .cliques import (
     enumerate_min_cliques,
 )
 from .errors import InternalConsistencyError, RangeError, ValidationError
-from .graph import JohnsonParams, _check_cap, _swap_walk, edge_count
+from .graph import JohnsonParams, _check_cap, _check_knob, _swap_walk, edge_count
 
 #: Largest graph the oracle builds by default; every entry point reads it at the call.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -39,10 +39,11 @@ VERIFY_PHASES = ("materialize", "clique_search", "families", "edge_law", "partit
 class DenseGraph:
     """Adjacency as one bit-set row per vertex: bit j of rows[i] means edge ij.
 
-    The constructor raises ValidationError for the first row, in order, with
-    stray bits, a self-loop or a later bit j > i whose mirror (bit i of row
-    j) is missing. If every later bit is mirrored but an earlier bit is not,
-    it names the first earlier bit with no mirror, in row order.
+    The constructor raises ValidationError for a non-int ``vertex_count``,
+    non-tuple ``rows``, then the first row, in order, that is not an int, has
+    stray bits or a self-loop, or has a later bit j > i whose mirror (bit i of
+    row j) is missing. If every later bit is mirrored but an earlier bit is
+    not, it names the first earlier bit with no mirror, in row order.
     """
 
     vertex_count: int
@@ -50,11 +51,16 @@ class DenseGraph:
 
     def __post_init__(self) -> None:
         nv, rows = self.vertex_count, self.rows
+        if type(nv) is not int or type(rows) is not tuple:
+            raise ValidationError(f"expected an int vertex count and a tuple of rows, "
+                                  f"got {nv!r} and a {type(rows).__name__}")
         if len(rows) != nv:
             raise ValidationError(f"expected {nv} adjacency rows, got {len(rows)}")
         bits = later = 0
         for i, row in enumerate(rows):
             bit_i = 1 << i
+            if type(row) is not int:
+                raise ValidationError(f"row {i} is not an int: {row!r}")
             if row >> nv:
                 raise ValidationError(f"row {i} has bits beyond vertex {nv - 1}")
             if row & bit_i:
@@ -168,23 +174,18 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
 class VerificationReport:
     """Outcome of checking one (n, m) pair against the brute-force oracle.
 
-    All checks are reported, never raised. ``notes`` carries explanations,
-    in particular that the class-max family does not apply in the
-    degenerate regime n == m+1.
+    All checks are reported, never raised. ``checks`` maps each check's name
+    to its outcome, in report order, and ``passed`` is their conjunction.
+    ``notes`` carries explanations, in particular that the class-max family
+    does not apply in the degenerate regime n == m+1.
     ``phase_seconds`` holds the time of each of VERIFY_PHASES; ``counters``
     holds vertices, edges, Bron-Kerbosch expand calls and cliques found.
     """
 
     params: JohnsonParams
-    degenerate: bool
     oracle_clique_count: int
     closed_form_count: int
-    sets_equal: bool
-    intersection_sizes_ok: bool
-    size_laws_ok: bool
-    clique_number_ok: bool
-    edge_law_ok: bool
-    partition_ok: bool
+    checks: dict[str, bool]
     max_clique_size_observed: int
     elapsed_seconds: float
     phase_seconds: dict[str, float]
@@ -193,14 +194,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.sets_equal
-            and self.intersection_sizes_ok
-            and self.size_laws_ok
-            and self.clique_number_ok
-            and self.edge_law_ok
-            and self.partition_ok
-        )
+        return all(self.checks.values())
 
     def to_dict(self) -> dict:
         # elapsed_seconds, phase_seconds and counters are deliberately left
@@ -208,15 +202,10 @@ class VerificationReport:
         return {
             "n": self.params.n,
             "m": self.params.m,
-            "degenerate": self.degenerate,
+            "degenerate": self.params.degenerate,
             "oracle_clique_count": self.oracle_clique_count,
             "closed_form_count": self.closed_form_count,
-            "sets_equal": self.sets_equal,
-            "intersection_sizes_ok": self.intersection_sizes_ok,
-            "size_laws_ok": self.size_laws_ok,
-            "clique_number_ok": self.clique_number_ok,
-            "edge_law_ok": self.edge_law_ok,
-            "partition_ok": self.partition_ok,
+            **self.checks,
             "max_clique_size_observed": self.max_clique_size_observed,
             "passed": self.passed,
             "notes": list(self.notes),
@@ -262,8 +251,8 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     # A clique's common elements are the AND of its members' label masks.
     label_masks = [sum(1 << e for e in label) for label in labels]
     faults: list[tuple[tuple[int, ...], str]] = []
-    intersection_sizes_ok = True
-    size_laws_ok = True
+    # Keys in report order: sets_equal leads, but is decided after the laws.
+    checks = dict.fromkeys(("sets_equal", "intersection_sizes_ok", "size_laws_ok"), True)
     for mask in oracle:
         members = _mask_vertices(mask)
         shared = -1
@@ -271,13 +260,13 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
             shared &= label_masks[i]
         common = shared.bit_count()
         if common not in (0, m - 1):
-            intersection_sizes_ok = False
+            checks["intersection_sizes_ok"] = False
             labels_in = sorted(labels[i] for i in members)
             faults.append((members, f"clique {labels_in} has intersection size {common}"))
             continue
         expected = m + 1 if common == 0 else n - m + 1
         if len(members) != expected:
-            size_laws_ok = False
+            checks["size_laws_ok"] = False
             faults.append((members, f"clique with intersection size {common} has "
                                     f"{len(members)} members, expected {expected}"))
     # One note per faulty clique, in the sorted order of maximal_cliques().
@@ -303,14 +292,14 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
     closed_form_count = len(closed)
-    sets_equal = set(oracle) == closed and len(oracle) == closed_form_count
+    checks["sets_equal"] = set(oracle) == closed and len(oracle) == closed_form_count
     for (name, _, k), family in zip(classes, families):
         if len(family) != binomial(n, k):
-            sets_equal = False
+            checks["sets_equal"] = False
             notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
 
-    clique_number_ok = max_size == clique_number(p)
-    if not clique_number_ok:
+    checks["clique_number_ok"] = max_size == clique_number(p)
+    if not checks["clique_number_ok"]:
         notes.append(f"observed maximum clique size {max_size}, formula gives {clique_number(p)}")
     marks.append(time.perf_counter())
 
@@ -319,36 +308,30 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         == edge_count(p)
         == binomial(n, m - 1) * binomial(n - m + 1, 2)
     )
-    edge_law_ok = identity_ok and all(
+    checks["edge_law_ok"] = identity_ok and all(
         _covers_each_edge_once(masks, g.rows) for _, masks, _ in classes
     )
-    if not edge_law_ok:
+    if not checks["edge_law_ok"]:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
     try:
         part = clique_partition(p)
-        partition_ok = (
+        checks["partition_ok"] = (
             len(part.parts) == clique_partition_number(p)
             and part.covered_edge_count == edge_count(p)
             and _covers_each_edge_once(masks_of(part.parts), g.rows)
         )
     except InternalConsistencyError as exc:
-        partition_ok = False
+        checks["partition_ok"] = False
         notes.append(f"partition failed: {exc}")
     marks.append(time.perf_counter())
 
     return VerificationReport(
         params=p,
-        degenerate=p.degenerate,
         oracle_clique_count=len(oracle),
         closed_form_count=closed_form_count,
-        sets_equal=sets_equal,
-        intersection_sizes_ok=intersection_sizes_ok,
-        size_laws_ok=size_laws_ok,
-        clique_number_ok=clique_number_ok,
-        edge_law_ok=edge_law_ok,
-        partition_ok=partition_ok,
+        checks=checks,
         max_clique_size_observed=max_size,
         elapsed_seconds=marks[-1] - marks[0],
         phase_seconds={
@@ -377,12 +360,10 @@ def verify_range(
     ``max_vertices`` (default: DEFAULT_MATERIALIZE_CAP, read once at the call,
     for every worker) yields a SkippedPair and the sweep goes on. ``jobs``
     and ``max_vertices`` below 1 raise ValidationError at the call, before
-    any pair is checked."""
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    any pair is checked, as do values that are not ints."""
+    _check_knob("jobs", jobs)
     max_vertices = DEFAULT_MATERIALIZE_CAP if max_vertices is None else max_vertices
-    if max_vertices < 1:
-        raise ValidationError(f"max_vertices must be at least 1, got {max_vertices}")
+    _check_knob("max_vertices", max_vertices)
     pairs = [
         JohnsonParams(n, m)
         for m in range(2, MAX_GROUND_SET)

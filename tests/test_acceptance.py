@@ -217,7 +217,7 @@ def test_criterion_7_degenerate_regime(capsys):
         except RegimeError:
             pass
         report = verify(p)
-        if not (report.degenerate and report.passed and report.oracle_clique_count == 1):
+        if not (report.params.degenerate and report.passed and report.oracle_clique_count == 1):
             failures.append((n, m, "verify should pass and flag the regime"))
         part = clique_partition(p)
         if clique_partition_number(p) != 1 or part.parts != tuple(min_family):

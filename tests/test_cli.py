@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -406,13 +407,19 @@ class TestVerify:
         assert out == b""
         assert b"usage error" in err and b"no valid (n, m) pair" in err
 
-    def test_failing_check_exits_3(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "key",
+        ["sets_equal", "intersection_sizes_ok", "size_laws_ok",
+         "clique_number_ok", "edge_law_ok", "partition_ok"],
+    )
+    def test_failing_check_exits_3(self, monkeypatch, key):
         real = verify(JohnsonParams(4, 2))
-        broken = real.__class__(**{**real.__dict__, "sets_equal": False})
+        broken = dataclasses.replace(real, checks={**real.checks, key: False})
         monkeypatch.setattr(cli, "verify_range", lambda *a, **k: [broken])
         code, out, err = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..4"])
         assert code == 3
-        assert json.loads(out.decode())["passed"] is False
+        assert b'"passed":false' in out
+        assert json.loads(out.decode())[key] is False
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_pair_over_the_cap_is_skipped_and_the_sweep_goes_on(self, monkeypatch, jobs):
@@ -435,7 +442,7 @@ class TestVerify:
 
     def test_failed_check_outranks_a_skipped_pair(self, monkeypatch):
         real = verify(JohnsonParams(4, 2))
-        broken = real.__class__(**{**real.__dict__, "sets_equal": False})
+        broken = dataclasses.replace(real, checks={**real.checks, "sets_equal": False})
         skipped = SkippedPair(JohnsonParams(5, 2), "over the cap")
         monkeypatch.setattr(cli, "verify_range", lambda *a, **k: [skipped, broken])
         code, out, _ = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..5"])

@@ -209,6 +209,8 @@ NON_INT_CALLS = {
     "unrank_bool_m": lambda: unrank(1, 5, True),
     "iter_subsets_float_n": lambda: list(iter_subsets_colex(5.5, 2)),
     "iter_subsets_bool_k": lambda: list(iter_subsets_colex(5, True)),
+    "rank_float_n": lambda: rank((1,), 2.5),
+    "rank_str_n": lambda: rank((1, 2), "5"),
 }
 
 

@@ -296,6 +296,13 @@ class TestExport:
             export(JohnsonParams(5, 2), "dot", sink, max_vertices=cap)
         assert sink.getvalue() == b""
 
+    @pytest.mark.parametrize("cap", [10.5, True, "10"])
+    def test_cap_that_is_not_an_int_refused(self, cap):
+        sink = io.BytesIO()
+        with pytest.raises(ValidationError, match=f"max_vertices must be an int, got {cap!r}"):
+            export(JohnsonParams(5, 2), "dot", sink, max_vertices=cap)
+        assert sink.getvalue() == b""
+
     # J(4,3): the last vertex has no later neighbour. J(11,4): 330 vertices,
     # more than one write's worth.
     @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])

@@ -59,6 +59,14 @@ class TestDenseGraph:
         with pytest.raises(ValidationError):
             DenseGraph(2, (0b100, 0b000))
 
+    @pytest.mark.parametrize(
+        "vertex_count,rows",
+        [(2, [0, 0]), (True, (0,)), (1.0, (0,)), (1, (False,)), (2, (0, 1.0)), (1, ("0",))],
+    )
+    def test_input_of_the_wrong_type_rejected(self, vertex_count, rows):
+        with pytest.raises(ValidationError):
+            DenseGraph(vertex_count, rows)
+
     def test_edge_total(self):
         g = DenseGraph(3, (0b110, 0b101, 0b011))
         assert g.edge_total() == 3
@@ -269,7 +277,7 @@ class TestVerify:
         assert report.oracle_clique_count == 15
         assert report.closed_form_count == 15
         assert report.max_clique_size_observed == 4
-        assert not report.degenerate
+        assert not report.params.degenerate
 
     def test_boundary_pair(self):
         report = verify(JohnsonParams(6, 3))
@@ -280,11 +288,11 @@ class TestVerify:
 
     def test_degenerate_pair(self):
         report = verify(JohnsonParams(4, 3))
-        assert report.degenerate
+        assert report.params.degenerate
         assert report.passed
         assert report.oracle_clique_count == 1
         assert report.closed_form_count == 1
-        assert report.partition_ok
+        assert report.checks["partition_ok"]
         assert report.notes == (
             "degenerate regime (n == m+1): the graph is complete, the sole maximal "
             "clique is the class-min one, and the class-max family is inapplicable",
@@ -303,6 +311,11 @@ class TestVerify:
         monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
         with pytest.raises(RangeError, match="10 vertices, above the materialization cap 5"):
             verify(JohnsonParams(5, 3))
+
+    @pytest.mark.parametrize("cap", [True, 10.5, "10"])
+    def test_cap_that_is_not_an_int_refused(self, cap):
+        with pytest.raises(ValidationError, match=f"max_vertices must be an int, got {cap!r}"):
+            verify(JohnsonParams(5, 2), max_vertices=cap)
 
     def test_report_serialization_is_stable(self):
         a = verify(JohnsonParams(5, 3)).to_dict()
@@ -333,7 +346,7 @@ class TestVerify:
         broken = CliquePartition((real.parts[0],) + real.parts[:-1])
         monkeypatch.setattr(oracle, "clique_partition", lambda p: broken)
         report = verify(JohnsonParams(5, 3))
-        assert not report.partition_ok
+        assert not report.checks["partition_ok"]
         assert not report.passed
 
     @pytest.mark.parametrize(
@@ -348,8 +361,8 @@ class TestVerify:
         real = getattr(oracle, family)
         monkeypatch.setattr(oracle, family, lambda p: list(real(p))[1:])
         report = verify(JohnsonParams(5, 3))
-        assert not report.sets_equal
-        assert not report.edge_law_ok
+        assert not report.checks["sets_equal"]
+        assert not report.checks["edge_law_ok"]
         assert not report.passed
         assert note in report.notes
 
@@ -360,8 +373,8 @@ class TestVerify:
         real = getattr(oracle, family)
         monkeypatch.setattr(oracle, family, lambda p: [*real(p), next(real(p))])
         report = verify(JohnsonParams(5, 3))
-        assert report.sets_equal
-        assert not report.edge_law_ok
+        assert report.checks["sets_equal"]
+        assert not report.checks["edge_law_ok"]
         assert not report.passed
         assert "edge law failed: some edge is not in exactly one clique per class" in report.notes
 
@@ -439,7 +452,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_build", build)
         report = verify(JohnsonParams(n, m))
-        assert getattr(report, flag) is False
+        assert report.checks[flag] is False
         assert note in report.notes
         assert not report.passed
 
@@ -535,6 +548,17 @@ class TestVerifyRange:
         checked = []
         monkeypatch.setattr(oracle, "verify", lambda p, cap: checked.append(p))
         with pytest.raises(ValidationError, match="must be at least 1"):
+            verify_range([2], [4, 5], **knobs)
+        assert checked == []
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"jobs": 1.5}, {"jobs": "2"}, {"jobs": True}, {"max_vertices": 10.5}, {"max_vertices": True}],
+    )
+    def test_knobs_that_are_not_ints_are_refused_at_the_call(self, monkeypatch, knobs):
+        checked = []
+        monkeypatch.setattr(oracle, "verify", lambda p, cap: checked.append(p))
+        with pytest.raises(ValidationError, match="must be an int"):
             verify_range([2], [4, 5], **knobs)
         assert checked == []
 
