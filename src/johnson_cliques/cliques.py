@@ -16,7 +16,9 @@ told apart by the intersection of all member labels:
 Maximal cliques are stored by defining set only (B or A); member lists are
 expanded on demand. A clique with more than two members extends to exactly
 one maximal clique, an edge to one of each class, which is what makes the
-closed-form edge partitions below work.
+closed-form edge partitions below work. The first two members of a clique
+fix B as their union and A as their intersection, so a clique is checked
+with one set test per member, and classified in O(m) once it is validated.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .combinat import (
     validate_label,
 )
 from .errors import InternalConsistencyError, RegimeError, ValidationError
-from .graph import JohnsonParams, edge_count
+from .graph import JohnsonParams, _check_params, edge_count
 
 
 class CliqueClass(str, Enum):
@@ -67,6 +69,7 @@ class MaximalClique:
 
     def __post_init__(self) -> None:
         p = self.params
+        _check_params(p)
         validate_label(self.defining_set, p.n, _class_shape(p, self.kind)[0])
 
     @property
@@ -112,6 +115,7 @@ class Clique:
     members: tuple[Label, ...]
 
     def __post_init__(self) -> None:
+        _check_params(self.params)
         if not isinstance(self.members, tuple):
             raise ValidationError(f"clique members must be a tuple of labels, got {self.members!r}")
         for lab in self.members:
@@ -173,13 +177,20 @@ def _union(members: tuple[Label, ...]) -> Label:
     return tuple(sorted(set().union(*members)))
 
 
+def _span(members: tuple[Label, ...]) -> tuple[set[int], set[int]]:
+    """The union and the intersection of the first two members, as sets."""
+    first = set(members[0])
+    return first.union(members[1]), first.intersection(members[1])
+
+
 def _forms_clique(members: tuple[Label, ...]) -> bool:
     """Whether same-size labels are distinct and pairwise adjacent.
 
     Raises ValidationError for no labels, labels of mixed sizes or a repeated
     label. Pairwise adjacency of r >= 2 m-sets holds exactly when they all lie
-    in one (m+1)-set or all contain one (m-1)-core, so the test costs O(r m)
-    instead of r(r-1)/2 pair tests.
+    in one (m+1)-set or all contain one (m-1)-core, which can only be the
+    union or the intersection of the first two members: one set test per
+    member instead of r(r-1)/2 pair tests.
     """
     if not members:
         raise ValidationError("a clique needs at least one member")
@@ -188,7 +199,12 @@ def _forms_clique(members: tuple[Label, ...]) -> bool:
         raise ValidationError(f"labels {members} differ in size")
     if len(set(members)) != len(members):
         raise ValidationError("clique members must be distinct")
-    return len(members) == 1 or len(_union(members)) == m + 1 or len(_intersection(members)) == m - 1
+    if len(members) == 1:
+        return True
+    union, core = _span(members)
+    return len(union) == m + 1 and (
+        all(map(union.issuperset, members)) or all(map(core.issubset, members))
+    )
 
 
 def _normalized(labels: Iterable[Label]) -> tuple[Label, ...]:
@@ -220,27 +236,26 @@ def classify(c: Clique) -> Classification:
     edge lies in exactly one clique of each class (class min defined by the
     union of its endpoints, class max by their intersection); in the
     degenerate regime only the class-min extension exists. A clique with
-    r > 2 members satisfies exactly one of |union| == m+1 (class min) or
-    |intersection| == m-1 (class max) and extends to exactly one maximal
-    clique; if it already equals that clique's full member set it is
-    reported as already maximal.
+    r > 2 members extends to exactly one maximal clique: class min on the
+    union of its first two members when that holds the third member, else
+    class max on their intersection (only two m-sets lie between the two).
+    If it already equals that clique's full member set it is reported as
+    already maximal. O(m): it reads three members of the validated ``c``.
     """
-    p = c.params
-    r = c.size
+    p, members = c.params, c.members
+    r = len(members)
     if r == 1:
         return Classification(ClassificationKind.SINGLETON, ())
-    union_set = c.union_set
-    if r == 2:
-        h_min = MaximalClique(p, CliqueClass.MIN, union_set)
-        if p.degenerate:
-            return Classification(ClassificationKind.UNIQUE_MIN, (h_min,))
-        h_max = MaximalClique(p, CliqueClass.MAX, c.intersection_set)
+    union, core = _span(members)
+    if r == 2 and not p.degenerate:
+        h_min = _trusted(p, CliqueClass.MIN, tuple(sorted(union)))
+        h_max = _trusted(p, CliqueClass.MAX, tuple(sorted(core)))
         return Classification(ClassificationKind.EDGE_BOTH, (h_min, h_max))
-    if len(union_set) == p.m + 1:
-        ext = MaximalClique(p, CliqueClass.MIN, union_set)
+    if r == 2 or union.issuperset(members[2]):
+        ext = _trusted(p, CliqueClass.MIN, tuple(sorted(union)))
         kind = ClassificationKind.UNIQUE_MIN
     else:
-        ext = MaximalClique(p, CliqueClass.MAX, c.intersection_set)
+        ext = _trusted(p, CliqueClass.MAX, tuple(sorted(core)))
         kind = ClassificationKind.UNIQUE_MAX
     if r == ext.size:
         return Classification(ClassificationKind.ALREADY_MAXIMAL, (ext,))
@@ -275,20 +290,22 @@ def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
     return p.m - 1, p.n - p.m + 1
 
 
+def _trusted(p: JohnsonParams, kind: CliqueClass, s: Label) -> MaximalClique:
+    """The class-``kind`` clique on ``s``, skipping __post_init__: ``s`` comes
+    from validated labels, so it needs no re-validation."""
+    h = object.__new__(MaximalClique)
+    h.__dict__.update(params=p, kind=kind, defining_set=s)
+    return h
+
+
 def _family(p: JohnsonParams, kind: CliqueClass, k: int) -> Iterator[MaximalClique]:
-    # iter_subsets_colex makes only valid k-subsets of {1..n}, so the
-    # cliques skip __post_init__ and its re-validation of each set.
-    new, put = object.__new__, object.__setattr__
-    for s in iter_subsets_colex(p.n, k):
-        h = new(MaximalClique)
-        put(h, "params", p)
-        put(h, "kind", kind)
-        put(h, "defining_set", s)
-        yield h
+    # iter_subsets_colex makes only valid k-subsets of {1..n}.
+    return (_trusted(p, kind, s) for s in iter_subsets_colex(p.n, k))
 
 
 def enumerate_min_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
     """One class-min clique per (m+1)-subset B of {1..n}, in colex order of B."""
+    _check_params(p)
     return _family(p, CliqueClass.MIN, p.m + 1)
 
 
@@ -298,17 +315,20 @@ def enumerate_max_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
     Rejects the degenerate regime n == m+1, where these candidates are not
     maximal.
     """
+    _check_params(p)
     return _family(p, CliqueClass.MAX, _class_shape(p, CliqueClass.MAX)[0])
 
 
 def clique_number(p: JohnsonParams) -> int:
     """Size of a largest clique: max(m+1, n-m+1)."""
+    _check_params(p)
     return max(p.m + 1, p.n - p.m + 1)
 
 
 def clique_partition_number(p: JohnsonParams) -> int:
     """Number of parts in the edge partition built by clique_partition:
     C(n, m-1) when m+2 <= n < 2m, else C(n, m+1), which is 1 at n == m+1."""
+    _check_params(p)
     return binomial(p.n, _class_shape(p, _partition_class(p))[0])
 
 
@@ -345,6 +365,7 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
     one class-min clique is the whole graph). The part count and the covered
     edge count are checked in O(1).
     """
+    _check_params(p)
     kind = _partition_class(p)
     parts = tuple(_family(p, kind, _class_shape(p, kind)[0]))
     _check_partition(p, kind, len(parts))

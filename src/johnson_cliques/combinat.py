@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from .errors import RangeError, ValidationError
 
@@ -72,9 +73,9 @@ def format_label(label: Label) -> str:
     return "{" + ",".join(str(e) for e in label) + "}"
 
 
-def colex_key(label: Label) -> tuple[int, ...]:
-    """Sort key realizing colexicographic order on sorted labels."""
-    return tuple(reversed(label))
+#: Sort key realizing colexicographic order on sorted labels: the label
+#: reversed, largest element first, taken by one C-level slice.
+colex_key = itemgetter(slice(None, None, -1))
 
 
 def rank(label: Label, n: int) -> int:

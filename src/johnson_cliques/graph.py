@@ -61,6 +61,12 @@ class JohnsonParams:
         return self.n == self.m + 1
 
 
+def _check_params(p: object) -> None:
+    """Refuse a ``p`` that is not a JohnsonParams, such as an (n, m) tuple."""
+    if not isinstance(p, JohnsonParams):
+        raise ValidationError(f"expected JohnsonParams, got {p!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     """An undirected edge between two adjacent labels; endpoints are stored
@@ -80,11 +86,13 @@ class Edge:
 
 def vertex_count(p: JohnsonParams) -> int:
     """Number of vertices, C(n, m)."""
+    _check_params(p)
     return binomial(p.n, p.m)
 
 
 def edge_count(p: JohnsonParams) -> int:
     """Number of undirected edges, C(n, m) * m * (n - m) / 2."""
+    _check_params(p)
     return binomial(p.n, p.m) * p.m * (p.n - p.m) // 2
 
 
@@ -105,6 +113,7 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     before ``u`` are transposed to x descending, then y ascending (x the
     element dropped), and the rows after it follow as they are. No sort runs.
     """
+    _check_params(p)
     validate_label(u, p.n, p.m)
     m = len(u)
     bounds = (0, *u, p.n + 1)
@@ -172,8 +181,10 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
 
 
 def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
-    """Refuse a cap as _check_knob does, and a graph with more than
-    ``max_vertices`` vertices (RangeError, naming the ``cap``)."""
+    """Refuse a ``p`` as _check_params does, a cap as _check_knob does, and a
+    graph with more than ``max_vertices`` vertices (RangeError, naming the
+    ``cap``)."""
+    _check_params(p)
     _check_knob("max_vertices", max_vertices)
     nv = vertex_count(p)
     if nv > max_vertices:

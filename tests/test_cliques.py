@@ -70,14 +70,16 @@ class TestIsClique:
 
     @pytest.mark.parametrize("n,m", [(5, 2), (5, 3), (6, 3)])
     def test_closed_form_test_matches_pairwise_definition(self, n, m):
-        # is_clique and Clique decide by |union| and |intersection|; the
-        # definition is that every two members share m-1 elements.
+        # is_clique and Clique decide from the union and intersection of the
+        # first two members; the definition is that every two members share
+        # m-1 elements. Each rotation puts other members first.
         p = JohnsonParams(n, m)
         labels = colex_subsets(n, m)
         for r in range(1, 5):
             for subset in combinations(labels, r):
                 expected = all(swap_adjacent(a, b) for a, b in combinations(subset, 2))
-                assert is_clique(subset) == expected
+                for k in range(r):
+                    assert is_clique(subset[k:] + subset[:k]) == expected
                 try:
                     Clique.from_labels(subset, p)
                     accepted = True
@@ -274,6 +276,48 @@ class TestClassify:
         assert result.kind is ClassificationKind.UNIQUE_MIN
         (h,) = result.extensions
         assert h.defining_set == (1, 2, 3)
+
+
+    @pytest.mark.parametrize("n,m", [(4, 3), (5, 3), (24, 6), (48, 12), (62, 31)])
+    @given(data=st.data())
+    def test_any_member_order_gives_the_set_algebra_over_all_members(self, n, m, data):
+        # classify reads only the first three members; in any member order,
+        # its answer must be the union or intersection of all of them.
+        p = JohnsonParams(n, m)
+        kind = data.draw(st.sampled_from([CliqueClass.MIN] if p.degenerate else list(CliqueClass)))
+        k = m + 1 if kind is CliqueClass.MIN else m - 1
+        defining_set = data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))
+        h = MaximalClique(p, kind, tuple(sorted(defining_set)))
+        r = data.draw(st.integers(2, h.size))
+        members = tuple(data.draw(st.permutations(h.members()))[:r])
+        union, core = union_of(members), intersection_of(members)
+        if r == 2:
+            want = [(CliqueClass.MIN, union)] + [(CliqueClass.MAX, core)] * (not p.degenerate)
+        elif len(union) == m + 1:
+            want = [(CliqueClass.MIN, union)]
+        else:
+            want = [(CliqueClass.MAX, core)]
+        result = classify(Clique(p, members))
+        assert [(x.kind, x.defining_set) for x in result.extensions] == want
+        assert (result.kind is ClassificationKind.ALREADY_MAXIMAL) == (r == h.size)
+
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
+    def test_extensions_match_validated_construction(self, n, m):
+        # classify builds its extensions without __post_init__; they must be
+        # indistinguishable from the ones the public constructor builds.
+        p = JohnsonParams(n, m)
+        pool = list(enumerate_min_cliques(p))
+        if not p.degenerate:
+            pool += enumerate_max_cliques(p)
+        for h in pool:
+            members = h.members()
+            for r in (2, 3, h.size):
+                c = Clique.from_labels(members[:r], p)
+                for ext in classify(c).extensions + extend_to_maximal(c):
+                    built = MaximalClique(p, ext.kind, ext.defining_set)
+                    assert ext == built
+                    assert hash(ext) == hash(built)
+                    assert repr(ext) == repr(built)
 
 
 class TestExtend:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,16 +14,27 @@ from johnson_cliques import (
     ValidationError,
     are_adjacent,
     binomial,
+    clique_number,
+    clique_partition,
+    clique_partition_number,
+    edge_count,
+    edges,
+    enumerate_max_cliques,
+    enumerate_min_cliques,
+    export,
     format_label,
     intersection_of,
     iter_subsets_colex,
     make_label,
+    materialize,
     neighbors,
     parse_label,
     rank,
     union_of,
     unrank,
     validate_label,
+    verify,
+    vertex_count,
 )
 from helpers import colex_subsets, pascal_binomial, pascal_triangle
 
@@ -248,6 +261,34 @@ class TestTupleLabels:
         assert Clique.from_labels([[1, 2], [1, 3]], p).members == ((1, 2), (1, 3))
         assert intersection_of([[1, 2], [1, 3]]) == (1,)
         assert union_of([[1, 2], [1, 3]]) == (1, 2, 3)
+
+
+# Each call hands an (n, m) tuple where a JohnsonParams belongs; each must be
+# refused with ValidationError, not fail later with AttributeError on p.n.
+NON_PARAMS_CALLS = {
+    "vertex_count": lambda: vertex_count((5, 3)),
+    "edge_count": lambda: edge_count((5, 3)),
+    "neighbors": lambda: neighbors((1, 2, 3), (5, 3)),
+    "edges": lambda: edges((5, 3)),
+    "export": lambda: export((5, 3), "dot", io.BytesIO()),
+    "maximal_clique": lambda: MaximalClique((5, 3), CliqueClass.MIN, (1, 2, 3, 4)),
+    "clique": lambda: Clique((5, 3), ((1, 2, 3),)),
+    "clique_from_labels": lambda: Clique.from_labels([(1, 2, 3)], (5, 3)),
+    "enumerate_min_cliques": lambda: enumerate_min_cliques((5, 3)),
+    "enumerate_max_cliques": lambda: enumerate_max_cliques((5, 3)),
+    "clique_number": lambda: clique_number((5, 3)),
+    "clique_partition_number": lambda: clique_partition_number((5, 3)),
+    "clique_partition": lambda: clique_partition((5, 3)),
+    "materialize": lambda: materialize((5, 3)),
+    "verify": lambda: verify((5, 3)),
+}
+
+
+class TestParamsType:
+    @pytest.mark.parametrize("call", NON_PARAMS_CALLS.values(), ids=list(NON_PARAMS_CALLS))
+    def test_params_that_are_not_johnson_params_are_refused(self, call):
+        with pytest.raises(ValidationError, match=r"expected JohnsonParams, got \(5, 3\)"):
+            call()
 
 
 class TestColexStream:
