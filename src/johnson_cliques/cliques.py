@@ -291,8 +291,8 @@ def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
 
 
 def _trusted(p: JohnsonParams, kind: CliqueClass, s: Label) -> MaximalClique:
-    """The class-``kind`` clique on ``s``, skipping __post_init__: ``s`` comes
-    from validated labels, so it needs no re-validation."""
+    """The class-``kind`` clique on ``s``, skipping __post_init__: callers pass
+    only sets they generated or derived from validated labels."""
     h = object.__new__(MaximalClique)
     h.__dict__.update(params=p, kind=kind, defining_set=s)
     return h
