@@ -4,11 +4,12 @@ Vertices are the m-subsets of {1..n}; two vertices are adjacent exactly when
 their labels share m-1 elements, i.e. when one label is the other with one
 element swapped for one outside it. Per-label queries (adjacency,
 neighborhoods) store nothing and work even when C(n, m) is far too large to
-materialize. The bulk paths (the edge stream, export and the oracle's dense
-build) hold all C(n, m) labels and their bit masks, and walk the single swaps
-of each label to find the ranks of its later neighbours only, already
-ascending: each edge is found once, from its colex-smaller end. export()
-writes the edge lines of a fixed number of vertices per write.
+materialize. The bulk paths (the edge stream and export) hold all C(n, m)
+labels and their bit masks, and walk the single swaps of each label to find
+the ranks of its later neighbours only, already ascending: each edge is
+found once, from its colex-smaller end. export() writes the edge lines of a
+fixed number of vertices per write. The oracle builds its dense graph from
+the pairwise definition instead, so it shares no code with this walk.
 """
 
 from __future__ import annotations

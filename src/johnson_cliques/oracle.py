@@ -4,9 +4,9 @@ Materializes J_n(m, m-1) as an explicit dense graph, enumerates all maximal
 cliques with pivoted Bron-Kerbosch, and compares what it finds against the
 closed-form enumerations, clique number, and edge partition. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
-The graph is built from the single-swap walk that the edge stream and export
-also use (one element of a label traded for one outside it); the tests check
-it against the pairwise "share m-1 elements" definition.
+The graph is built from the pairwise "share m-1 elements" definition by
+column masks, not from the single-swap walk that the edge stream and export
+use; the tests check that the two give the same rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Container, Iterable, Iterator
 
-from .combinat import MAX_GROUND_SET, Label, binomial
+from .combinat import MAX_GROUND_SET, Label, binomial, iter_subsets_colex
 from .cliques import (
     clique_number,
     clique_partition,
@@ -26,7 +26,7 @@ from .cliques import (
     enumerate_min_cliques,
 )
 from .errors import InternalConsistencyError, RangeError, ValidationError
-from .graph import JohnsonParams, _check_cap, _check_knob, _swap_walk, edge_count
+from .graph import JohnsonParams, _check_cap, _check_knob, edge_count
 
 #: Largest graph the oracle builds by default; every entry point reads it at the call.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -94,29 +94,42 @@ def materialize(p: JohnsonParams, max_vertices: int | None = None) -> DenseGraph
 
 
 def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
-    """The labels in colex order and the graph whose vertex i is labels[i];
-    row i has the bits of vertex i's single-swap neighbour ranks. The walk
-    yields each edge once, from its earlier end, so each later rank j also
-    sets bit i of row j."""
+    """The labels in colex order and the graph whose vertex i is labels[i],
+    built from the definition: row i holds every other label that has all
+    but one element x of label i. With col[e] the mask of the labels that
+    hold e, that is the OR over x in label i of the AND of col[e] over the
+    rest of label i, taken from prefix and suffix ANDs."""
     _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
-    labels, later_ranks = _swap_walk(p)
-    rows = [0] * len(labels)
-    for i, later in enumerate(later_ranks):
+    labels = list(iter_subsets_colex(p.n, p.m))
+    col = [0] * (p.n + 1)
+    for i, label in enumerate(labels):
         bit = 1 << i
-        row = rows[i]
-        for j in later:
-            row |= 1 << j
-            rows[j] |= bit
-        rows[i] = row
+        for e in label:
+            col[e] |= bit
+    rows = []
+    for i, label in enumerate(labels):
+        cols = [col[e] for e in label]
+        # suffix[k] is the AND of cols[k:]; -1 is the AND of none.
+        suffix = [-1] * (len(cols) + 1)
+        for k in range(len(cols) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] & cols[k]
+        row, prefix = 0, -1
+        for k, c in enumerate(cols):
+            row |= prefix & suffix[k + 1]
+            prefix &= c
+        rows.append(row ^ (1 << i))
     return labels, DenseGraph(len(labels), tuple(rows))
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending. Peels the top bit, which makes
+    one new int per bit where peeling the low bit makes two."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
     return tuple(out)
 
 
@@ -128,11 +141,15 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
 
 def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     """The vertex masks of the maximal cliques of ``g``, in the order found,
-    and the number of expand calls it took. A branch left with no candidates
-    is settled in its parent, and counted as the call it would have been."""
+    and the number of expand calls it took. Each call branches from its
+    highest vertex down. A branch left with no candidates is settled in its
+    parent, and counted as the call it would have been."""
     if g.vertex_count == 0:
         return [], 0
     rows = g.rows
+    # Each loop peels its top vertex with one new int, bits[i], not the two
+    # that peeling the low bit (x & -x, then x ^ low) makes.
+    bits = [1 << i for i in range(g.vertex_count)]
     found: list[int] = []
     calls = 0
 
@@ -145,17 +162,18 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
         best = -1
         rest = cand | excl
         while rest:
-            bit = rest & -rest
-            rest ^= bit
-            row = rows[bit.bit_length() - 1]
+            i = rest.bit_length() - 1
+            rest ^= bits[i]
+            row = rows[i]
             score = (row & cand).bit_count()
             if score > best:
                 best, pivot_row = score, row
         todo = cand & ~pivot_row
         while todo:
-            bit = todo & -todo
+            i = todo.bit_length() - 1
+            bit = bits[i]
             todo ^= bit
-            row = rows[bit.bit_length() - 1]
+            row = rows[i]
             sub = cand & row
             if sub:
                 expand(base | bit, sub, excl & row)

@@ -153,7 +153,7 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
     def test_matches_bulk_swap_walk(self, n, m):
-        # the per-query path and the bulk path behind edges()/export/materialize:
+        # the per-query path and the bulk path behind edges() and export:
         # the walk yields, for vertex i, the ranks of neighbors(u) above i,
         # ascending
         p = JohnsonParams(n, m)
