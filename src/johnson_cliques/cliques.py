@@ -83,12 +83,15 @@ class MaximalClique:
             # combinations() over the sorted B is already colex: both orders
             # go by the omitted element, largest first.
             return tuple(combinations(self.defining_set, self.params.m))
-        core = set(self.defining_set)
-        return tuple(
-            tuple(sorted(core | {x}))
-            for x in range(1, self.params.n + 1)
-            if x not in core
-        )
+        # The core plus each outside y, ascending: the y between core[k-1]
+        # and core[k] go in at index k, as in graph.neighbors().
+        core = self.defining_set
+        bounds = (0, *core, self.params.n + 1)
+        out: list[Label] = []
+        for k in range(len(core) + 1):
+            head, tail = core[:k], core[k:]
+            out += [head + (y,) + tail for y in range(bounds[k] + 1, bounds[k + 1])]
+        return tuple(out)
 
     def contains(self, label: Label) -> bool:
         """True when ``label``, an m-subset of {1..n}, is a member of this clique."""

@@ -6,7 +6,10 @@ closed-form enumerations, clique number, and edge partition. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
 The graph is built from the pairwise "share m-1 elements" definition by
 column masks, not from the single-swap walk that the edge stream and export
-use; the tests check that the two give the same rows.
+use; the tests check that the two give the same rows. Each check runs once
+per call: when the partition's parts are one family's cliques, the
+partition inherits that family's edge-cover verdict instead of mapping the
+same members to the same bits again.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
 def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     """The vertex masks of the maximal cliques of ``g``, in the order found,
     and the number of expand calls it took. Each call branches from its
-    highest vertex down. A branch left with no candidates is settled in its
-    parent, and counted as the call it would have been."""
+    highest vertex down. A call whose candidates form a clique is a leaf: it
+    reports its base plus all candidates, if that is maximal, and branches
+    no further. A branch left with no candidates is settled in its parent,
+    and counted as the call it would have been."""
     if g.vertex_count == 0:
         return [], 0
     rows = g.rows
@@ -157,6 +162,23 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
         # Entered only with candidates left.
         nonlocal calls
         calls += 1
+        # cand | excl is the common neighbourhood of base. If cand is a
+        # clique, base | cand is the one maximal clique left to find here,
+        # unless an excluded vertex is adjacent to all of cand. The peel
+        # stops at the first vertex that misses a lower candidate, so a
+        # cand that is no clique costs about one step.
+        rest, dominators = cand, excl
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= bits[i]
+            row = rows[i]
+            if row & rest != rest:
+                break
+            dominators &= row
+        else:
+            if not dominators:
+                found.append(base | cand)
+            return
         # Tomita, Tanaka & Takahashi (2006): pivot on the vertex of P | X
         # with the most neighbours in P, so the fewest branches remain.
         best = -1
@@ -243,14 +265,25 @@ class SkippedPair:
 
 def _covers_each_edge_once(masks: Iterable[int], rows: tuple[int, ...]) -> bool:
     """Whether the cliques with these vertex masks cover every edge of the
-    graph with adjacency ``rows`` exactly once, and no non-edge pair."""
+    graph with adjacency ``rows`` exactly once, and no non-edge pair.
+
+    Each member's cover row ORs in its cliques; with the diagonal cleared,
+    the rows must equal ``rows``, so every pair covered is an edge and every
+    edge is covered. The cliques count C(size, 2) pairs between them, each
+    covered pair at least once; a total of exactly the edge count leaves no
+    pair counted twice.
+    """
     cover = [0] * len(rows)
+    pairs = 0
     for mask in masks:
+        size = mask.bit_count()
+        pairs += size * (size - 1) // 2
         for i in _mask_vertices(mask):
-            if cover[i] & mask:
-                return False
-            cover[i] |= mask ^ (1 << i)
-    return cover == list(rows)
+            cover[i] |= mask
+    edges = sum(row.bit_count() for row in rows) // 2
+    return pairs == edges and all(
+        c & ~(1 << i) == row for i, (c, row) in enumerate(zip(cover, rows))
+    )
 
 
 def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
@@ -296,16 +329,17 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     def masks_of(family) -> list[int]:
         return [sum(map(bit_of, h.members())) for h in family]
 
-    # (class, masks, k): each clique of a class is fixed by a k-set.
-    classes = [("class-min", masks_of(enumerate_min_cliques(p)), m + 1)]
+    # (class, cliques, k): each clique of a class is fixed by a k-set.
+    classes = [("class-min", tuple(enumerate_min_cliques(p)), m + 1)]
     if p.degenerate:
         notes.append(
             "degenerate regime (n == m+1): the graph is complete, the sole maximal "
             "clique is the class-min one, and the class-max family is inapplicable"
         )
     else:
-        classes.append(("class-max", masks_of(enumerate_max_cliques(p)), m - 1))
-    families = [set(masks) for _, masks, _ in classes]
+        classes.append(("class-max", tuple(enumerate_max_cliques(p)), m - 1))
+    masks = [masks_of(cliques) for _, cliques, _ in classes]
+    families = [set(family) for family in masks]
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
@@ -326,19 +360,26 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         == edge_count(p)
         == binomial(n, m - 1) * binomial(n - m + 1, 2)
     )
-    checks["edge_law_ok"] = identity_ok and all(
-        _covers_each_edge_once(masks, g.rows) for _, masks, _ in classes
-    )
+    covers = [_covers_each_edge_once(family, g.rows) for family in masks]
+    checks["edge_law_ok"] = identity_ok and all(covers)
     if not checks["edge_law_ok"]:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
     try:
         part = clique_partition(p)
+        # Members depend only on (params, kind, defining set), so parts equal
+        # to a family's cliques cover the edges as that family does.
+        covered_once = next(
+            (ok for (_, cliques, _), ok in zip(classes, covers) if cliques == part.parts),
+            None,
+        )
+        if covered_once is None:
+            covered_once = _covers_each_edge_once(masks_of(part.parts), g.rows)
         checks["partition_ok"] = (
             len(part.parts) == clique_partition_number(p)
             and part.covered_edge_count == edge_count(p)
-            and _covers_each_edge_once(masks_of(part.parts), g.rows)
+            and covered_once
         )
     except InternalConsistencyError as exc:
         checks["partition_ok"] = False

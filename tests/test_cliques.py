@@ -140,6 +140,18 @@ class TestMaximalCliqueType:
         assert h.members() == ((1, 3, 4), (2, 3, 4), (3, 4, 5))
         assert h.size == 3
 
+    def test_members_of_max_match_the_set_construction(self):
+        # members() splices each outside element into the core; the core
+        # plus one element, sorted, is the definition.
+        for n in range(4, 15):
+            for m in range(2, n - 1):
+                for h in enumerate_max_cliques(JohnsonParams(n, m)):
+                    core = set(h.defining_set)
+                    expected = tuple(
+                        tuple(sorted(core | {x})) for x in range(1, n + 1) if x not in core
+                    )
+                    assert h.members() == expected, (n, m, h.defining_set)
+
     def test_members_of_max_star(self):
         h = MaximalClique(J42, CliqueClass.MAX, (1,))
         assert h.members() == ((1, 2), (1, 3), (1, 4))

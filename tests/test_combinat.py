@@ -298,3 +298,13 @@ class TestColexStream:
 
     def test_empty_when_k_exceeds_n(self):
         assert list(iter_subsets_colex(3, 4)) == []
+
+    def test_ground_set_bound(self):
+        # Past the bound the stream would hold labels that every other
+        # entry point refuses; it is refused at the first item instead.
+        assert list(iter_subsets_colex(MAX_GROUND_SET, MAX_GROUND_SET)) == [
+            tuple(range(1, MAX_GROUND_SET + 1))
+        ]
+        stream = iter_subsets_colex(MAX_GROUND_SET + 2, MAX_GROUND_SET + 1)
+        with pytest.raises(RangeError, match=f"n={MAX_GROUND_SET + 2} exceeds"):
+            next(stream)

@@ -13,6 +13,7 @@ from johnson_cliques import (
     DenseGraph,
     InternalConsistencyError,
     JohnsonParams,
+    MaximalClique,
     RangeError,
     SkippedPair,
     ValidationError,
@@ -204,6 +205,23 @@ class TestMaskVertices:
         assert sum(1 << i for i in got) == mask
 
 
+def assert_matches_networkx(nv, density, seed):
+    """maximal_cliques agrees with networkx on a random graph; the edges come
+    from a seeded generator, so each hypothesis example stays small."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    rows = [0] * nv
+    graph = nx.Graph()
+    graph.add_nodes_from(range(nv))
+    for i, j in combinations(range(nv), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            graph.add_edge(i, j)
+    got = maximal_cliques(DenseGraph(nv, tuple(rows)))
+    assert got == sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph))
+
+
 TRIANGLE = DenseGraph(3, (0b110, 0b101, 0b011))
 # Vertices i and 5 - i are the octahedron's only non-adjacent pairs.
 OCTAHEDRON = DenseGraph(6, tuple(0b111111 & ~(1 << i) & ~(1 << (5 - i)) for i in range(6)))
@@ -231,6 +249,13 @@ class TestCoversEachEdgeOnce:
     def test_non_edge_pair_fails(self):
         non_edge = OCTAHEDRON_PARTITION + [0b100001]
         assert not oracle._covers_each_edge_once(non_edge, OCTAHEDRON.rows)
+
+    def test_right_pair_count_with_an_edge_uncovered_fails(self):
+        # One clique twice in place of another: the cliques still count
+        # exactly |E| pairs, but one pair twice and some edge not at all.
+        assert not oracle._covers_each_edge_once([0b011, 0b011, 0b101], TRIANGLE.rows)
+        twice = OCTAHEDRON_PARTITION[1:] + OCTAHEDRON_PARTITION[1:2]
+        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON.rows)
 
 
 class TestMaximalCliques:
@@ -288,20 +313,31 @@ class TestMaximalCliques:
     @given(st.integers(31, 70), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_matches_networkx_past_one_int_digit(self, nv, density, seed):
-        # Row masks of more than 30 vertices span several int digits; the
-        # edges come from a seeded generator, so each example stays small.
-        nx = pytest.importorskip("networkx")
-        rng = random.Random(seed)
-        rows = [0] * nv
-        graph = nx.Graph()
-        graph.add_nodes_from(range(nv))
-        for i, j in combinations(range(nv), 2):
-            if rng.random() < density:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                graph.add_edge(i, j)
-        got = maximal_cliques(DenseGraph(nv, tuple(rows)))
-        assert got == sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph))
+        # Row masks of more than 30 vertices span several int digits.
+        assert_matches_networkx(nv, density, seed)
+
+    @given(st.integers(31, 38), st.floats(0.5, 0.95), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_networkx_on_dense_graphs(self, nv, density, seed):
+        # Dense graphs leave many search nodes whose candidates form a
+        # clique, which the search settles without branching. The number
+        # of maximal cliques grows fast with density, so the graphs stay
+        # below 39 vertices.
+        assert_matches_networkx(nv, density, seed)
+
+    def test_excluded_vertex_dominating_a_clique_of_candidates(self):
+        # {0, 1, 2, 6} is a K4, and 5 is adjacent to 1, 2, 3 and 4. The root
+        # pivots on 5 and branches on 6, 5, then 0. The branch on 0 has the
+        # clique {1, 2} for candidates, but 6, excluded, is adjacent to both:
+        # {0, 1, 2} is no maximal clique, and must not be reported.
+        edges = [(0, 1), (0, 2), (0, 6), (1, 2), (1, 5), (1, 6), (2, 5), (2, 6), (3, 5), (4, 5)]
+        rows = [0] * 7
+        for i, j in edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        g = DenseGraph(7, tuple(rows))
+        assert maximal_cliques(g) == [(0, 1, 2, 6), (1, 2, 5), (3, 5), (4, 5)]
+        assert maximal_cliques(g) == naive_maximal_cliques(7, g.adjacent)
 
     def test_deterministic(self):
         g = materialize(JohnsonParams(6, 3))
@@ -438,6 +474,21 @@ class TestVerify:
         assert "class-min and class-max families overlap; they must be disjoint" in report.notes
         assert "class-max family has 5 cliques, expected C(5,2)" in report.notes
 
+    def test_partition_reuse_cannot_hide_a_member_fault(self, monkeypatch):
+        # The partition of J(5,3) is the class-max family, so its check
+        # reuses that family's edge-law verdict. A member dropped from the
+        # family's first clique must fail both checks.
+        p = JohnsonParams(5, 3)
+        first = clique_partition(p).parts[0]
+        real = MaximalClique.members
+        monkeypatch.setattr(
+            MaximalClique, "members", lambda h: real(h)[1:] if h == first else real(h)
+        )
+        report = verify(p)
+        assert not report.checks["edge_law_ok"]
+        assert not report.checks["partition_ok"]
+        assert not report.passed
+
     def test_failed_partition_is_reported(self, monkeypatch):
         def fail(p):
             raise InternalConsistencyError("forced")
@@ -451,16 +502,17 @@ class TestVerify:
     @pytest.mark.parametrize(
         "n,m,vertices,edges,cliques,expand_calls",
         [
-            (5, 3, 10, 30, 15, 35),
-            (6, 3, 20, 90, 30, 137),
-            (9, 4, 126, 1260, 210, 2157),
-            (12, 5, 792, 13860, 1419, 26126),
+            (5, 3, 10, 30, 15, 30),
+            (6, 3, 20, 90, 30, 107),
+            (9, 4, 126, 1260, 210, 1644),
+            (12, 5, 792, 13860, 1419, 20858),
         ],
     )
     def test_phase_timings_and_counters(self, n, m, vertices, edges, cliques, expand_calls):
         # expand_calls is pinned: it counts every branch of the search,
         # including those settled in their parent. It depends on the order
-        # in which the search branches, highest vertex first.
+        # in which the search branches, highest vertex first, and on a node
+        # whose candidates form a clique being a leaf.
         p = JohnsonParams(n, m)
         report = verify(p)
         assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
