@@ -113,13 +113,15 @@ def unrank(r: int, n: int, m: int) -> Label:
 
 def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
     """All k-subsets of {1..n} in colex order, generated lazily. Raises, at
-    the first item, ValidationError for an n or k that is not an int and
-    RangeError for n > MAX_GROUND_SET, as rank() and unrank() do."""
-    if type(n) is not int or type(k) is not int:
-        raise ValidationError(f"iter_subsets_colex requires int arguments, got ({n!r}, {k!r})")
+    the first item, ValidationError for an n or k that is not a non-negative
+    int, as binomial() does, and RangeError for n > MAX_GROUND_SET, as rank()
+    and unrank() do."""
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValidationError(
+            f"iter_subsets_colex requires non-negative int arguments, got ({n!r}, {k!r})")
     if n > MAX_GROUND_SET:
         raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
-    if k < 0 or k > n:
+    if k > n:
         return
     if k == 0:
         yield ()

@@ -4,12 +4,16 @@ Materializes J_n(m, m-1) as an explicit dense graph, enumerates all maximal
 cliques with pivoted Bron-Kerbosch, and compares what it finds against the
 closed-form enumerations, clique number, and edge partition. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
-The graph is built from the pairwise "share m-1 elements" definition by
-column masks, not from the single-swap walk that the edge stream and export
-use; the tests check that the two give the same rows. Each check runs once
-per call: when the partition's parts are one family's cliques, the
-partition inherits that family's edge-cover verdict instead of mapping the
-same members to the same bits again.
+A search node whose candidates split into cliques with no edge between them
+reports each one that no excluded vertex extends, and branches no further;
+that holds on any graph, since the candidates and excluded vertices are the
+common neighbourhood of the node's base. The graph is built from the
+pairwise "share m-1 elements" definition by column masks, not from the
+single-swap walk that the edge stream and export use; the tests check that
+the two give the same rows. Each check runs once per call: when the
+partition's parts are one family's cliques, the partition inherits that
+family's edge-cover verdict instead of mapping the same members to the same
+bits again.
 """
 
 from __future__ import annotations
@@ -84,6 +88,11 @@ class DenseGraph:
                         raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
 
     def adjacent(self, i: int, j: int) -> bool:
+        """Whether ij is an edge; ValidationError for an index that is not
+        an int in range(vertex_count)."""
+        nv = self.vertex_count
+        if type(i) is not int or type(j) is not int or not (0 <= i < nv and 0 <= j < nv):
+            raise ValidationError(f"vertex pair ({i!r}, {j!r}) is not in range({nv})")
         return bool((self.rows[i] >> j) & 1)
 
     def edge_total(self) -> int:
@@ -144,11 +153,16 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
 
 def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     """The vertex masks of the maximal cliques of ``g``, in the order found,
-    and the number of expand calls it took. Each call branches from its
-    highest vertex down. A call whose candidates form a clique is a leaf: it
-    reports its base plus all candidates, if that is maximal, and branches
-    no further. A branch left with no candidates is settled in its parent,
-    and counted as the call it would have been."""
+    and the number of nodes of the search tree. Each call branches from its
+    highest vertex down. A call whose candidates split into k >= 1 cliques
+    with no edge between them settles them all and branches no further: it
+    reports its base plus each of those cliques that no excluded vertex is
+    adjacent to in full, and counts as k leaves. The candidates and excluded
+    vertices together are the common neighbourhood of the base, so every
+    clique among the candidates lies in one of the k, and only an excluded
+    vertex can extend one; the rule is exact on any graph. A branch left
+    with no candidates is settled in its parent, and counted as the call it
+    would have been."""
     if g.vertex_count == 0:
         return [], 0
     rows = g.rows
@@ -161,24 +175,36 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     def expand(base: int, cand: int, excl: int) -> None:
         # Entered only with candidates left.
         nonlocal calls
-        calls += 1
-        # cand | excl is the common neighbourhood of base. If cand is a
-        # clique, base | cand is the one maximal clique left to find here,
-        # unless an excluded vertex is adjacent to all of cand. The peel
-        # stops at the first vertex that misses a lower candidate, so a
-        # cand that is no clique costs about one step.
-        rest, dominators = cand, excl
+        # Peel the candidates one clique at a time from the top: the top
+        # vertex's comp is itself and its candidate neighbours, and every
+        # other member must see exactly the rest of comp among the
+        # candidates. The excluded vertices adjacent to all of comp are excl
+        # ANDed with its members' rows. The peel stops at the first member
+        # that fails, so a cand that does not split costs about one step.
+        start, rest, leaves = len(found), cand, 0
         while rest:
             i = rest.bit_length() - 1
-            rest ^= bits[i]
             row = rows[i]
-            if row & rest != rest:
+            members = row & cand
+            comp, dominators = members | bits[i], excl & row
+            while members:
+                j = members.bit_length() - 1
+                row = rows[j]
+                if row & cand | bits[j] != comp:
+                    break
+                members ^= bits[j]
+                dominators &= row
+            if members:
+                del found[start:]
                 break
-            dominators &= row
-        else:
             if not dominators:
-                found.append(base | cand)
+                found.append(base | comp)
+            rest ^= comp
+            leaves += 1
+        else:
+            calls += leaves
             return
+        calls += 1
         # Tomita, Tanaka & Takahashi (2006): pivot on the vertex of P | X
         # with the most neighbours in P, so the fewest branches remain.
         best = -1
@@ -219,7 +245,8 @@ class VerificationReport:
     ``notes`` carries explanations, in particular that the class-max family
     does not apply in the degenerate regime n == m+1.
     ``phase_seconds`` holds the time of each of VERIFY_PHASES; ``counters``
-    holds vertices, edges, Bron-Kerbosch expand calls and cliques found.
+    holds vertices, edges, the nodes of the Bron-Kerbosch search tree
+    (expand_calls) and cliques found.
     """
 
     params: JohnsonParams

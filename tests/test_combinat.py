@@ -299,6 +299,14 @@ class TestColexStream:
     def test_empty_when_k_exceeds_n(self):
         assert list(iter_subsets_colex(3, 4)) == []
 
+    @pytest.mark.parametrize("n,k", [(-3, 0), (4, -1), (-1, -1)])
+    def test_negative_arguments_refused_as_binomial_refuses_them(self, n, k):
+        with pytest.raises(ValidationError, match="non-negative int"):
+            binomial(n, k)
+        stream = iter_subsets_colex(n, k)
+        with pytest.raises(ValidationError, match="non-negative int"):
+            next(stream)
+
     def test_ground_set_bound(self):
         # Past the bound the stream would hold labels that every other
         # entry point refuses; it is refused at the first item instead.

@@ -74,6 +74,13 @@ class TestDenseGraph:
         g = DenseGraph(3, (0b110, 0b101, 0b011))
         assert g.edge_total() == 3
 
+    @pytest.mark.parametrize("i,j", [(-1, 1), (1, 5), (0, -1), (3, 0), (1.0, 0), (True, 0), (0, "1")])
+    def test_adjacent_refuses_a_vertex_that_does_not_exist(self, i, j):
+        # -1 would wrap to the last row, and a negative shift raises ValueError.
+        g = DenseGraph(3, (0b010, 0b101, 0b010))
+        with pytest.raises(ValidationError, match=r"is not in range\(3\)"):
+            g.adjacent(i, j)
+
     def test_missing_mirror_of_a_later_bit_is_named(self):
         with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(0, 1\)$"):
             DenseGraph(3, (0b010, 0, 0))
@@ -205,19 +212,23 @@ class TestMaskVertices:
         assert sum(1 << i for i in got) == mask
 
 
-def assert_matches_networkx(nv, density, seed):
-    """maximal_cliques agrees with networkx on a random graph; the edges come
+def random_edges(nv, density, seed):
+    """Each pair is an edge with probability ``density``; the edges come
     from a seeded generator, so each hypothesis example stays small."""
-    nx = pytest.importorskip("networkx")
     rng = random.Random(seed)
+    return [(i, j) for i, j in combinations(range(nv), 2) if rng.random() < density]
+
+
+def assert_matches_networkx(nv, edges):
+    """maximal_cliques agrees with networkx on the graph with these edges."""
+    nx = pytest.importorskip("networkx")
     rows = [0] * nv
     graph = nx.Graph()
     graph.add_nodes_from(range(nv))
-    for i, j in combinations(range(nv), 2):
-        if rng.random() < density:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            graph.add_edge(i, j)
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        graph.add_edge(i, j)
     got = maximal_cliques(DenseGraph(nv, tuple(rows)))
     assert got == sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph))
 
@@ -314,7 +325,7 @@ class TestMaximalCliques:
     @settings(max_examples=25, deadline=None)
     def test_matches_networkx_past_one_int_digit(self, nv, density, seed):
         # Row masks of more than 30 vertices span several int digits.
-        assert_matches_networkx(nv, density, seed)
+        assert_matches_networkx(nv, random_edges(nv, density, seed))
 
     @given(st.integers(31, 38), st.floats(0.5, 0.95), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -323,7 +334,18 @@ class TestMaximalCliques:
         # clique, which the search settles without branching. The number
         # of maximal cliques grows fast with density, so the graphs stay
         # below 39 vertices.
-        assert_matches_networkx(nv, density, seed)
+        assert_matches_networkx(nv, random_edges(nv, density, seed))
+
+    @given(st.integers(20, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_networkx_on_unions_of_cliques(self, nv, count, seed):
+        # A few random cliques laid over each other leave many search nodes
+        # whose candidates split into cliques with no edge between them.
+        rng = random.Random(seed)
+        edges = set()
+        for _ in range(count):
+            edges.update(combinations(sorted(rng.sample(range(nv), rng.randint(2, 8))), 2))
+        assert_matches_networkx(nv, sorted(edges))
 
     def test_excluded_vertex_dominating_a_clique_of_candidates(self):
         # {0, 1, 2, 6} is a K4, and 5 is adjacent to 1, 2, 3 and 4. The root
@@ -338,6 +360,27 @@ class TestMaximalCliques:
         g = DenseGraph(7, tuple(rows))
         assert maximal_cliques(g) == [(0, 1, 2, 6), (1, 2, 5), (3, 5), (4, 5)]
         assert maximal_cliques(g) == naive_maximal_cliques(7, g.adjacent)
+
+    def test_excluded_vertex_dominating_one_of_two_cliques_of_candidates(self):
+        # 6 is adjacent to 1, 2, 3, 4, 7 and 8, the most of any vertex, so
+        # the root pivots on it and branches on 6, 5, then 0. The branch on
+        # 6 has the cliques {8}, {7}, {3, 4} and {1, 2} for candidates, and
+        # reports all four. The branch on 0 has {3, 4} and {1, 2}, with no
+        # edge between them, but 5, excluded, is adjacent to 1 and 2: only
+        # {0, 3, 4} is reported there, since {0, 1, 2} lies in {0, 1, 2, 5}.
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (2, 5),
+                 (2, 6), (3, 4), (3, 6), (4, 6), (6, 7), (6, 8)]
+        rows = [0] * 9
+        for i, j in edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        g = DenseGraph(9, tuple(rows))
+        assert maximal_cliques(g) == [
+            (0, 1, 2, 5), (0, 3, 4), (1, 2, 6), (3, 4, 6), (6, 7), (6, 8)
+        ]
+        assert maximal_cliques(g) == naive_maximal_cliques(9, g.adjacent)
+        # The root, four leaves under 6, one under 5 and two under 0.
+        assert oracle._bron_kerbosch(g)[1] == 8
 
     def test_deterministic(self):
         g = materialize(JohnsonParams(6, 3))
@@ -502,17 +545,18 @@ class TestVerify:
     @pytest.mark.parametrize(
         "n,m,vertices,edges,cliques,expand_calls",
         [
-            (5, 3, 10, 30, 15, 30),
-            (6, 3, 20, 90, 30, 107),
-            (9, 4, 126, 1260, 210, 1644),
-            (12, 5, 792, 13860, 1419, 20858),
+            (5, 3, 10, 30, 15, 25),
+            (6, 3, 20, 90, 30, 77),
+            (9, 4, 126, 1260, 210, 1264),
+            (12, 5, 792, 13860, 1419, 15500),
         ],
     )
     def test_phase_timings_and_counters(self, n, m, vertices, edges, cliques, expand_calls):
-        # expand_calls is pinned: it counts every branch of the search,
-        # including those settled in their parent. It depends on the order
-        # in which the search branches, highest vertex first, and on a node
-        # whose candidates form a clique being a leaf.
+        # expand_calls is pinned: it counts every node of the search tree,
+        # including branches settled in their parent. It depends on the
+        # order in which the search branches, highest vertex first, and on
+        # a node whose candidates split into k cliques with no edge between
+        # them counting as k leaves.
         p = JohnsonParams(n, m)
         report = verify(p)
         assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
