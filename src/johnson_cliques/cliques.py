@@ -19,6 +19,9 @@ one maximal clique, an edge to one of each class, which is what makes the
 closed-form edge partitions below work. The first two members of a clique
 fix B as their union and A as their intersection, so a clique is checked
 with one set test per member, and classified in O(m) once it is validated.
+``_span`` builds every union and intersection; ``intersection_of`` and
+``union_of`` are its public form. Labels that cannot be iterated or
+compared, and a non-Clique ``classify`` argument, raise ValidationError.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable, Iterator
 
 from .combinat import (
     Label,
+    _sorted_label,
     binomial,
     colex_key,
     iter_subsets_colex,
@@ -93,13 +97,6 @@ class MaximalClique:
             out += [head + (y,) + tail for y in range(bounds[k] + 1, bounds[k + 1])]
         return tuple(out)
 
-    def contains(self, label: Label) -> bool:
-        """True when ``label``, an m-subset of {1..n}, is a member of this clique."""
-        validate_label(label, self.params.n, self.params.m)
-        if self.kind is CliqueClass.MIN:
-            return set(label) <= set(self.defining_set)
-        return set(self.defining_set) <= set(label)
-
     def to_dict(self) -> dict:
         return {
             "class": self.kind.value,
@@ -129,19 +126,11 @@ class Clique:
     @classmethod
     def from_labels(cls, labels: Iterable[Label], params: JohnsonParams) -> "Clique":
         """The clique on ``labels``, each sorted, members in colex order."""
-        return cls(params, tuple(sorted((tuple(sorted(lab)) for lab in labels), key=colex_key)))
+        return cls(params, tuple(sorted(map(_sorted_label, labels), key=colex_key)))
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def intersection_set(self) -> Label:
-        return _intersection(self.members)
-
-    @property
-    def union_set(self) -> Label:
-        return _union(self.members)
 
 
 @dataclass(frozen=True)
@@ -172,18 +161,10 @@ class CliquePartition:
         return {"cp": len(self.parts), "parts": [h.to_dict() for h in self.parts]}
 
 
-def _intersection(members: tuple[Label, ...]) -> Label:
-    return tuple(sorted(set(members[0]).intersection(*members[1:])))
-
-
-def _union(members: tuple[Label, ...]) -> Label:
-    return tuple(sorted(set().union(*members)))
-
-
-def _span(members: tuple[Label, ...]) -> tuple[set[int], set[int]]:
-    """The union and the intersection of the first two members, as sets."""
-    first = set(members[0])
-    return first.union(members[1]), first.intersection(members[1])
+def _span(first: Label, *rest: Label) -> tuple[set[int], set[int]]:
+    """The union and the intersection of the labels, as sets."""
+    union = set(first)
+    return union.union(*rest), union.intersection(*rest)
 
 
 def _forms_clique(members: tuple[Label, ...]) -> bool:
@@ -204,14 +185,17 @@ def _forms_clique(members: tuple[Label, ...]) -> bool:
         raise ValidationError("clique members must be distinct")
     if len(members) == 1:
         return True
-    union, core = _span(members)
+    union, core = _span(members[0], members[1])
     return len(union) == m + 1 and (
         all(map(union.issuperset, members)) or all(map(core.issubset, members))
     )
 
 
 def _normalized(labels: Iterable[Label]) -> tuple[Label, ...]:
-    members = tuple(make_label(lab) for lab in labels)
+    try:
+        members = tuple(map(make_label, labels))
+    except TypeError:
+        raise ValidationError(f"expected an iterable of labels of ints, got {labels!r}") from None
     if not members:
         raise ValidationError("need at least one label")
     return members
@@ -224,12 +208,12 @@ def is_clique(labels: Iterable[Label]) -> bool:
 
 def intersection_of(labels: Iterable[Label]) -> Label:
     """Sorted intersection of all labels; input must be non-empty."""
-    return _intersection(_normalized(labels))
+    return tuple(sorted(_span(*_normalized(labels))[1]))
 
 
 def union_of(labels: Iterable[Label]) -> Label:
     """Sorted union of all labels; input must be non-empty."""
-    return _union(_normalized(labels))
+    return tuple(sorted(_span(*_normalized(labels))[0]))
 
 
 def classify(c: Clique) -> Classification:
@@ -243,13 +227,16 @@ def classify(c: Clique) -> Classification:
     union of its first two members when that holds the third member, else
     class max on their intersection (only two m-sets lie between the two).
     If it already equals that clique's full member set it is reported as
-    already maximal. O(m): it reads three members of the validated ``c``.
+    already maximal. O(m): it reads three members of ``c``, which must be a
+    Clique (anything else raises ValidationError).
     """
+    if not isinstance(c, Clique):
+        raise ValidationError(f"expected Clique, got {c!r}")
     p, members = c.params, c.members
     r = len(members)
     if r == 1:
         return Classification(ClassificationKind.SINGLETON, ())
-    union, core = _span(members)
+    union, core = _span(members[0], members[1])
     if r == 2 and not p.degenerate:
         h_min = _trusted(p, CliqueClass.MIN, tuple(sorted(union)))
         h_max = _trusted(p, CliqueClass.MAX, tuple(sorted(core)))

@@ -37,9 +37,18 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _sorted_label(elements: Iterable[int]) -> Label:
+    """``elements`` sorted into a tuple, unchecked; ValidationError if they
+    cannot be iterated or compared."""
+    try:
+        return tuple(sorted(elements))
+    except TypeError:
+        raise ValidationError(f"label {elements!r} is not an iterable of comparable ints") from None
+
+
 def make_label(elements: Iterable[int]) -> Label:
     """Normalize an iterable of integers in 1..MAX_GROUND_SET into a sorted label."""
-    label = tuple(sorted(elements))
+    label = _sorted_label(elements)
     validate_label(label, MAX_GROUND_SET)
     return label
 
@@ -62,6 +71,8 @@ def validate_label(label: Label, n: int, m: int | None = None) -> None:
 
 def parse_label(text: str) -> Label:
     """Parse the textual form ``{a,b,c}`` (ascending, no spaces) into a label."""
+    if not isinstance(text, str):
+        raise ValidationError(f"label text {text!r} is not a str; use make_label for ints")
     match = _LABEL_RE.match(text)
     if match is None:
         raise ValidationError(f"invalid label syntax: {text!r} (expected e.g. '{{1,3,4}}')")

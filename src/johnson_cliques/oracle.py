@@ -446,17 +446,17 @@ def verify_range(
     ``max_vertices`` (default: DEFAULT_MATERIALIZE_CAP, read once at the call,
     for every worker) yields a SkippedPair and the sweep goes on. ``jobs``
     and ``max_vertices`` below 1 raise ValidationError at the call, before
-    any pair is checked, as do values that are not ints."""
+    any pair is checked, as do values that are not ints and ``m_values`` or
+    ``n_values`` that cannot answer ``in`` for an int."""
     _check_knob("jobs", jobs)
     max_vertices = DEFAULT_MATERIALIZE_CAP if max_vertices is None else max_vertices
     _check_knob("max_vertices", max_vertices)
-    pairs = [
-        JohnsonParams(n, m)
-        for m in range(2, MAX_GROUND_SET)
-        if m in m_values
-        for n in range(m + 1, MAX_GROUND_SET + 1)
-        if n in n_values
-    ]
+    try:
+        ms = [m for m in range(2, MAX_GROUND_SET) if m in m_values]
+        ns = [n for n in range(3, MAX_GROUND_SET + 1) if n in n_values]
+    except TypeError:
+        raise ValidationError("m_values and n_values must answer 'in' for ints") from None
+    pairs = [JohnsonParams(n, m) for m in ms for n in ns if n > m]
     check = partial(_verify_or_skip, max_vertices=max_vertices)
     workers = _worker_count(jobs, len(pairs))
     if workers <= 1:

@@ -106,10 +106,9 @@ class TestSetAggregates:
 
 
 class TestCliqueType:
-    def test_from_labels_computes_caches(self):
-        c = Clique.from_labels([(1, 3, 4), (2, 3, 4), (3, 4, 5)], J53)
-        assert c.intersection_set == (3, 4)
-        assert c.union_set == (1, 2, 3, 4, 5)
+    def test_from_labels_sorts_labels_and_members(self):
+        c = Clique.from_labels([(5, 4, 3), (3, 4, 1), (2, 4, 3)], J53)
+        assert c.members == ((1, 3, 4), (2, 3, 4), (3, 4, 5))
         assert c.size == 3
 
     def test_non_clique_rejected(self):
@@ -160,36 +159,6 @@ class TestMaximalCliqueType:
         for h in list(enumerate_min_cliques(J53)) + list(enumerate_max_cliques(J53)):
             assert is_clique(h.members())
             assert len(h.members()) == h.size
-
-    def test_contains(self):
-        h = MaximalClique(J53, CliqueClass.MAX, (3, 4))
-        assert h.contains((2, 3, 4))
-        assert not h.contains((1, 2, 3))
-
-    @pytest.mark.parametrize(
-        "n,m,kind,defining_set,label",
-        [
-            (5, 3, CliqueClass.MIN, (1, 2, 3, 4), (1, 1, 2)),
-            (6, 3, CliqueClass.MAX, (1, 2), (0, 1, 2)),
-            (6, 3, CliqueClass.MAX, (1, 2), (1, 2, 2)),
-        ],
-    )
-    def test_contains_rejects_non_labels(self, n, m, kind, defining_set, label):
-        h = MaximalClique(JohnsonParams(n, m), kind, defining_set)
-        with pytest.raises(ValidationError):
-            h.contains(label)
-
-    @given(st.data())
-    def test_contains_matches_members(self, data):
-        n = data.draw(st.integers(4, 9))
-        m = data.draw(st.integers(2, n - 2))
-        p = JohnsonParams(n, m)
-        kind = data.draw(st.sampled_from(CliqueClass))
-        size = m + 1 if kind is CliqueClass.MIN else m - 1
-        defining_set = data.draw(st.sets(st.integers(1, n), min_size=size, max_size=size))
-        h = MaximalClique(p, kind, tuple(sorted(defining_set)))
-        x = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
-        assert h.contains(x) == (x in h.members())
 
     def test_defining_set_size_validated(self):
         with pytest.raises(ValidationError):

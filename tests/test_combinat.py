@@ -14,6 +14,7 @@ from johnson_cliques import (
     ValidationError,
     are_adjacent,
     binomial,
+    classify,
     clique_number,
     clique_partition,
     clique_partition_number,
@@ -22,6 +23,7 @@ from johnson_cliques import (
     enumerate_max_cliques,
     enumerate_min_cliques,
     export,
+    extend_to_maximal,
     format_label,
     intersection_of,
     iter_subsets_colex,
@@ -197,7 +199,9 @@ class TestLabelText:
 
 # Each call hands a label element or a parameter that is not an int to an
 # entry point; each must be refused with ValidationError before any
-# comparison (a str would raise TypeError there, a float would pass).
+# comparison (a str would raise TypeError there, a float would pass). So
+# must a label, or a collection of labels, that is not iterable, and label
+# text that is not a str.
 NON_INT_CALLS = {
     "clique_from_float_labels": lambda: Clique.from_labels(
         [(1.5, 2), (1.5, 3)], JohnsonParams(5, 2)
@@ -206,6 +210,16 @@ NON_INT_CALLS = {
         JohnsonParams(5, 2), CliqueClass.MIN, (1, 2.5, 3)
     ),
     "make_label_float": lambda: make_label([2.5, 1]),
+    "make_label_str_and_int": lambda: make_label([1, "2"]),
+    "make_label_not_iterable": lambda: make_label(5),
+    "clique_from_labels_not_iterable": lambda: Clique.from_labels([5], JohnsonParams(5, 2)),
+    "clique_from_labels_str_and_int": lambda: Clique.from_labels(
+        [(1, 2), (1, "3")], JohnsonParams(5, 2)
+    ),
+    "union_of_not_iterable": lambda: union_of(5),
+    "intersection_of_str_and_int": lambda: intersection_of([(1, 2), ("1", 3)]),
+    "parse_label_int": lambda: parse_label(5),
+    "parse_label_bytes": lambda: parse_label(b"{1,2}"),
     "params_float_n": lambda: JohnsonParams(5.5, 3),
     "params_str_n": lambda: JohnsonParams("5", 3),
     "params_float_m": lambda: JohnsonParams(5, 3.0),
@@ -283,11 +297,24 @@ NON_PARAMS_CALLS = {
     "verify": lambda: verify((5, 3)),
 }
 
+# Each call hands a label tuple or a string where a Clique belongs.
+NON_CLIQUE_CALLS = {
+    "classify": lambda: classify("x"),
+    "extend_to_maximal": lambda: extend_to_maximal(((1, 2), (1, 3))),
+}
+
 
 class TestParamsType:
     @pytest.mark.parametrize("call", NON_PARAMS_CALLS.values(), ids=list(NON_PARAMS_CALLS))
     def test_params_that_are_not_johnson_params_are_refused(self, call):
         with pytest.raises(ValidationError, match=r"expected JohnsonParams, got \(5, 3\)"):
+            call()
+
+
+class TestCliqueArgument:
+    @pytest.mark.parametrize("call", NON_CLIQUE_CALLS.values(), ids=list(NON_CLIQUE_CALLS))
+    def test_cliques_that_are_not_clique_objects_are_refused(self, call):
+        with pytest.raises(ValidationError, match="expected Clique, got "):
             call()
 
 

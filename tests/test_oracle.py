@@ -701,6 +701,16 @@ class TestVerifyRange:
             verify_range([2], [4, 5], **knobs)
         assert checked == []
 
+    @pytest.mark.parametrize("m_values,n_values", [(2, 4), (None, [4]), ([], None), ([2], "4")])
+    def test_ranges_that_cannot_answer_in_are_refused_at_the_call(
+        self, monkeypatch, m_values, n_values
+    ):
+        checked = []
+        monkeypatch.setattr(oracle, "verify", lambda p, cap: checked.append(p))
+        with pytest.raises(ValidationError, match="must answer 'in' for ints"):
+            verify_range(m_values, n_values)
+        assert checked == []
+
     def test_parallel_matches_serial(self):
         serial = verify_range([2, 3], range(4, 7), jobs=1)
         parallel = verify_range([2, 3], range(4, 7), jobs=3)
