@@ -20,8 +20,9 @@ closed-form edge partitions below work. The first two members of a clique
 fix B as their union and A as their intersection, so a clique is checked
 with one set test per member, and classified in O(m) once it is validated.
 ``_span`` builds every union and intersection; ``intersection_of`` and
-``union_of`` are its public form. Labels that cannot be iterated or
-compared, and a non-Clique ``classify`` argument, raise ValidationError.
+``union_of`` are its public form. Labels, or collections of labels, that
+cannot be iterated or compared, and a non-Clique ``classify`` argument,
+raise ValidationError.
 """
 
 from __future__ import annotations
@@ -126,7 +127,11 @@ class Clique:
     @classmethod
     def from_labels(cls, labels: Iterable[Label], params: JohnsonParams) -> "Clique":
         """The clique on ``labels``, each sorted, members in colex order."""
-        return cls(params, tuple(sorted(map(_sorted_label, labels), key=colex_key)))
+        try:
+            members = tuple(sorted(map(_sorted_label, labels), key=colex_key))
+        except TypeError:
+            raise ValidationError(f"expected an iterable of labels of ints, got {labels!r}") from None
+        return cls(params, members)
 
     @property
     def size(self) -> int:

@@ -31,9 +31,9 @@ def binomial(n: int, k: int) -> int:
     bound, and ValidationError for arguments that are not non-negative ints.
     """
     if type(n) is not int or type(k) is not int or n < 0 or k < 0:
-        raise ValidationError(f"binomial requires non-negative int arguments, got ({n!r}, {k!r})")
+        raise ValidationError(f"n and k must be non-negative ints, got ({n!r}, {k!r})")
     if n > MAX_GROUND_SET:
-        raise RangeError(f"binomial(n={n}) exceeds the supported bound n <= {MAX_GROUND_SET}")
+        raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
     return math.comb(n, k)
 
 
@@ -80,7 +80,9 @@ def parse_label(text: str) -> Label:
 
 
 def format_label(label: Label) -> str:
-    """Render a label in the canonical ``{a,b,c}`` form."""
+    """Render a label in the canonical ``{a,b,c}`` form; ValidationError for
+    a label that validate_label() refuses."""
+    validate_label(label, MAX_GROUND_SET)
     return "{" + ",".join(str(e) for e in label) + "}"
 
 
@@ -123,16 +125,10 @@ def unrank(r: int, n: int, m: int) -> Label:
 
 
 def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
-    """All k-subsets of {1..n} in colex order, generated lazily. Raises, at
-    the first item, ValidationError for an n or k that is not a non-negative
-    int, as binomial() does, and RangeError for n > MAX_GROUND_SET, as rank()
-    and unrank() do."""
-    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
-        raise ValidationError(
-            f"iter_subsets_colex requires non-negative int arguments, got ({n!r}, {k!r})")
-    if n > MAX_GROUND_SET:
-        raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
-    if k > n:
+    """All k-subsets of {1..n} in colex order, generated lazily. At the
+    first item, binomial(n, k) checks n and k, as in unrank(); it is 0, and
+    the stream empty, when k > n."""
+    if not binomial(n, k):
         return
     if k == 0:
         yield ()

@@ -23,7 +23,6 @@ from .combinat import (
     Label,
     binomial,
     colex_key,
-    format_label,
     iter_subsets_colex,
     validate_label,
 )
@@ -187,7 +186,7 @@ def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
     ``cap``)."""
     _check_params(p)
     _check_knob("max_vertices", max_vertices)
-    nv = vertex_count(p)
+    nv = binomial(p.n, p.m)
     if nv > max_vertices:
         raise RangeError(f"graph has {nv} vertices, above the {cap} cap {max_vertices}")
 
@@ -229,7 +228,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     # The text of edge (u, v) is left + names[u] + mid + names[v] + right,
     # and consecutive edges are separated by sep.
     if fmt == "edgelist":
-        names = [format_label(u) for u in labels]
+        names = ["{" + ",".join(map(str, u)) + "}" for u in labels]
         opening = closing = ""
         left, mid, right, sep = "", " -- ", "\n", ""
     elif fmt == "dot":

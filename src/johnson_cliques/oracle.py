@@ -328,11 +328,10 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
 
     # A clique's common elements are the AND of its members' label masks.
     label_masks = [sum(1 << e for e in label) for label in labels]
-    faults: list[tuple[tuple[int, ...], str]] = []
     # Keys in report order: sets_equal leads, but is decided after the laws.
     checks = dict.fromkeys(("sets_equal", "intersection_sizes_ok", "size_laws_ok"), True)
-    for mask in oracle:
-        members = _mask_vertices(mask)
+    # One note per faulty clique, in the sorted order of maximal_cliques().
+    for members in sorted(map(_mask_vertices, oracle)):
         shared = -1
         for i in members:
             shared &= label_masks[i]
@@ -340,15 +339,13 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         if common not in (0, m - 1):
             checks["intersection_sizes_ok"] = False
             labels_in = sorted(labels[i] for i in members)
-            faults.append((members, f"clique {labels_in} has intersection size {common}"))
+            notes.append(f"clique {labels_in} has intersection size {common}")
             continue
         expected = m + 1 if common == 0 else n - m + 1
         if len(members) != expected:
             checks["size_laws_ok"] = False
-            faults.append((members, f"clique with intersection size {common} has "
-                                    f"{len(members)} members, expected {expected}"))
-    # One note per faulty clique, in the sorted order of maximal_cliques().
-    notes.extend(note for _, note in sorted(faults))
+            notes.append(f"clique with intersection size {common} has "
+                         f"{len(members)} members, expected {expected}")
 
     # Closed-form members reach the rows only through the oracle's own labels.
     bit_of = {label: 1 << i for i, label in enumerate(labels)}.__getitem__

@@ -74,6 +74,24 @@ class TestBinomial:
             binomial(MAX_GROUND_SET + 1, 2)
 
 
+# Each call takes a ground set one past the bound; binomial() owns the rule,
+# so each must be refused with the same RangeError text.
+OVER_BOUND_CALLS = {
+    "binomial": lambda: binomial(63, 2),
+    "unrank": lambda: unrank(0, 63, 2),
+    "rank": lambda: rank((1, 63), 63),
+    "iter_subsets_colex": lambda: list(iter_subsets_colex(63, 2)),
+    "johnson_params": lambda: JohnsonParams(63, 2),
+}
+
+
+@pytest.mark.parametrize("call", OVER_BOUND_CALLS.values(), ids=list(OVER_BOUND_CALLS))
+def test_over_bound_is_refused_with_one_text(call):
+    with pytest.raises(RangeError) as info:
+        call()
+    assert str(info.value) == f"n=63 exceeds the supported bound n <= {MAX_GROUND_SET}"
+
+
 class TestRankUnrank:
     def test_rank_examples(self):
         assert rank((1, 2), 4) == 0
@@ -238,6 +256,8 @@ NON_INT_CALLS = {
     "iter_subsets_bool_k": lambda: list(iter_subsets_colex(5, True)),
     "rank_float_n": lambda: rank((1,), 2.5),
     "rank_str_n": lambda: rank((1, 2), "5"),
+    "format_label_float_str": lambda: format_label((1.5, "x")),
+    "clique_from_labels_int": lambda: Clique.from_labels(5, JohnsonParams(5, 2)),
 }
 
 
@@ -261,6 +281,7 @@ NON_TUPLE_CALLS = {
         JohnsonParams(5, 3), CliqueClass.MIN, [1, 2, 3, 4]
     ),
     "clique_list_members": lambda: Clique(JohnsonParams(5, 2), [(1, 2)]),
+    "format_label_int": lambda: format_label(5),
 }
 
 

@@ -567,6 +567,24 @@ class TestVerify:
         assert report.counters["cliques_found"] == report.oracle_clique_count == cliques
         assert report.counters["expand_calls"] == expand_calls
 
+    @staticmethod
+    def _verify_with_extra_edges(monkeypatch, p, extra):
+        # Extra symmetric edges between non-adjacent labels make maximal
+        # cliques that break the clique laws.
+        real = oracle._build
+
+        def build(p, max_vertices):
+            labels, g = real(p, max_vertices)
+            rows = list(g.rows)
+            for u, v in extra:
+                i, j = labels.index(u), labels.index(v)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            return labels, DenseGraph(g.vertex_count, tuple(rows))
+
+        monkeypatch.setattr(oracle, "_build", build)
+        return verify(p)
+
     @pytest.mark.parametrize(
         "n,m,u,v,flag,note",
         [
@@ -577,23 +595,22 @@ class TestVerify:
         ],
     )
     def test_broken_clique_laws_are_reported(self, monkeypatch, n, m, u, v, flag, note):
-        # One extra symmetric edge between non-adjacent labels makes a
-        # maximal clique that breaks the law named by ``flag``.
-        real = oracle._build
-
-        def build(p, max_vertices):
-            labels, g = real(p, max_vertices)
-            i, j = labels.index(u), labels.index(v)
-            rows = list(g.rows)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            return labels, DenseGraph(g.vertex_count, tuple(rows))
-
-        monkeypatch.setattr(oracle, "_build", build)
-        report = verify(JohnsonParams(n, m))
+        # One extra edge makes a maximal clique that breaks the law named by ``flag``.
+        report = self._verify_with_extra_edges(monkeypatch, JohnsonParams(n, m), [(u, v)])
         assert report.checks[flag] is False
         assert note in report.notes
         assert not report.passed
+
+    def test_clique_notes_follow_maximal_cliques_order(self, monkeypatch):
+        # The search finds these two faulty cliques in the reverse of their
+        # maximal_cliques() order; the notes follow maximal_cliques().
+        extra = [((1, 2, 3), (1, 4, 5)), ((1, 2, 4), (1, 3, 5))]
+        report = self._verify_with_extra_edges(monkeypatch, JohnsonParams(5, 3), extra)
+        assert report.checks["intersection_sizes_ok"] is False
+        assert [note for note in report.notes if note.startswith("clique ")] == [
+            "clique [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5), (1, 4, 5)] has intersection size 1",
+            "clique [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 5), (1, 4, 5)] has intersection size 1",
+        ]
 
     def test_report_is_picklable(self):
         report = verify(JohnsonParams(4, 2))
