@@ -92,12 +92,10 @@ colex_key = itemgetter(slice(None, None, -1))
 
 
 def rank(label: Label, n: int) -> int:
-    """Colex rank of ``label`` among all subsets of {1..n} of its size. n is
-    checked once, as in unrank(), so the sum needs no checks."""
-    if type(n) is not int:
-        raise ValidationError(f"rank requires an int n, got {n!r}")
-    if n > MAX_GROUND_SET:
-        raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
+    """Colex rank of ``label`` among all subsets of {1..n} of its size. The
+    one binomial(n, 0) call checks n, as in unrank(), so the sum needs no
+    checks."""
+    binomial(n, 0)
     validate_label(label, n)
     return sum(math.comb(e - 1, i) for i, e in enumerate(label, start=1))
 

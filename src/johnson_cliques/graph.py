@@ -6,10 +6,11 @@ element swapped for one outside it. Per-label queries (adjacency,
 neighborhoods) store nothing and work even when C(n, m) is far too large to
 materialize. The bulk paths (the edge stream and export) hold all C(n, m)
 labels and their bit masks, and walk the single swaps of each label to find
-the ranks of its later neighbours only, already ascending: each edge is
-found once, from its colex-smaller end. export() writes the edge lines of a
-fixed number of vertices per write. The oracle builds its dense graph from
-the pairwise definition instead, so it shares no code with this walk.
+its later neighbours only, already ascending: each edge is found once, from
+its colex-smaller end, as the value its caller gave that neighbour (a label,
+or export's text of it). export() writes the edge lines of a fixed number of
+vertices per write. The oracle builds its dense graph from the pairwise
+definition instead, so it shares no code with this walk.
 """
 
 from __future__ import annotations
@@ -130,32 +131,34 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     return [*filter(None, chain.from_iterable(zip_longest(*lows))), *highs]
 
 
-def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Iterator[list[int]]]:
-    """The labels in colex order and, lazily, each vertex's later neighbour
-    ranks: for vertex i, the ranks j > i of its neighbours, ascending.
+def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Callable[[Iterable], Iterator[list]]]:
+    """The labels in colex order, and the walk: given one value per label,
+    in that order, it lazily yields each vertex's later neighbours' values,
+    for vertex i those of its neighbours j > i, in order of j ascending.
 
     Colex order on m-sets is the numeric order of their bit masks, as in
     neighbors(), so the later neighbours of a label swap one element x for
     an outside element y > x, in order of y ascending, then x descending.
     Each run of outside elements between the k-th and (k+1)-th element of
     the label pairs with the masks that drop one of its k smallest elements,
-    largest first: one lookup per edge in a mask -> rank dict, with no sort.
-    Holds all C(n, m) labels, masks and dict entries up front.
+    largest first: one lookup per edge in a mask -> value dict, which the
+    walk fills from the caller's values, with no sort. Holds all C(n, m)
+    labels and masks up front, and the dict while the walk runs.
     """
     labels = list(iter_subsets_colex(p.n, p.m))
     bits = [1 << e for e in range(p.n + 1)]
     masks = [sum(bits[e] for e in label) for label in labels]
-    rank_of = {mask: i for i, mask in enumerate(masks)}
     ends = (p.n + 1,)
     # rests[start:] drops one of the m - start smallest elements, largest
     # first; the run after the label's i-th element uses start = m-1-i.
     starts = range(p.m - 1, -1, -1)
 
-    def later_ranks() -> Iterator[list[int]]:
+    def walk(values: Iterable) -> Iterator[list]:
+        value_of = dict(zip(masks, values))
         for label, mask in zip(labels, masks):
             rests = [mask ^ bits[e] for e in reversed(label)]
             yield [
-                rank_of[rest | bit]
+                value_of[rest | bit]
                 for x, end, start in zip(label, label[1:] + ends, starts)
                 if end > x + 1
                 for lows in (rests[start:],)
@@ -163,7 +166,7 @@ def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Iterator[list[int]]]:
                 for rest in lows
             ]
 
-    return labels, later_ranks()
+    return labels, walk
 
 
 def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
@@ -172,12 +175,12 @@ def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
 
     Like export(), the call refuses a graph over DEFAULT_EXPORT_CAP vertices,
     read when the call is made, with RangeError before it lists any label. It
-    then holds all C(n, m) labels, their bit masks and a mask -> rank dict,
-    O(C(n, m)) memory, and streams the edges from the walk's later ranks.
+    then holds all C(n, m) labels, their bit masks and a mask -> label dict,
+    O(C(n, m)) memory, and streams the edges from the walk's later labels.
     """
     _check_cap(p, DEFAULT_EXPORT_CAP, "export")
-    labels, later_ranks = _swap_walk(p)
-    return ((u, labels[j]) for u, later in zip(labels, later_ranks) for j in later)
+    labels, walk = _swap_walk(p)
+    return ((u, v) for u, later in zip(labels, walk(labels)) for v in later)
 
 
 def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
@@ -213,18 +216,21 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
                         with vertices in colex order and edges as rank pairs.
 
     Refuses caps below 1, graphs with more than ``max_vertices`` vertices
-    (default: DEFAULT_EXPORT_CAP, read when the call is made), and
-    unknown formats, before any work. Like edges(), it holds all C(n, m)
+    (default: DEFAULT_EXPORT_CAP, read when the call is made), unknown
+    formats and a sink with no callable ``write``, before any work. Like edges(), it holds all C(n, m)
     labels and their bit masks, O(C(n, m)) memory. The formats differ only
     in each vertex's name (the label, its DOT id or its rank) and the fixed
-    text around each edge: each name is formatted once, each vertex's later
-    neighbours are joined into its edge lines at once, and the lines of
+    text around each edge: each name is formatted once and fills the walk's
+    table, so the walk yields each vertex's later neighbours by name, which
+    are joined into its edge lines at once, and the lines of
     _CHUNK_VERTICES vertices go out as one write.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
+    if not callable(getattr(sink, "write", None)):
+        raise ValidationError(f"sink must have a callable write, got {sink!r}")
     _check_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices, "export")
-    labels, later_ranks = _swap_walk(p)
+    labels, walk = _swap_walk(p)
     # The text of edge (u, v) is left + names[u] + mid + names[v] + right,
     # and consecutive edges are separated by sep.
     if fmt == "edgelist":
@@ -244,8 +250,8 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     heads = (left + name + mid for name in names)
     # The last vertex has no later neighbour, and so no edge text.
     blocks = (
-        head + (right + sep + head).join([names[j] for j in later]) + right
-        for head, later in zip(heads, later_ranks)
+        head + (right + sep + head).join(later) + right
+        for head, later in zip(heads, walk(names))
         if later
     )
     sink.write(opening.encode())
@@ -255,14 +261,11 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
 
 def _write_chunked(
     write: Callable[[str], object], items: Iterable[str], sep: str, size: int
-) -> int:
+) -> None:
     """Pass ``items``, separated by ``sep``, to ``write`` ``size`` items at a
-    time; return the number of items."""
+    time."""
     items = iter(items)
     lead = ""
-    count = 0
     while chunk := list(islice(items, size)):
         write(lead + sep.join(chunk))
         lead = sep
-        count += len(chunk)
-    return count

@@ -147,7 +147,10 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
 
 def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
     """All maximal cliques of ``g``, each once, members ascending, cliques
-    sorted; pivoted Bron-Kerbosch, deterministic across runs."""
+    sorted; pivoted Bron-Kerbosch, deterministic across runs. ValidationError
+    if ``g`` is not a DenseGraph."""
+    if not isinstance(g, DenseGraph):
+        raise ValidationError(f"expected a DenseGraph, got {g!r}")
     return sorted(map(_mask_vertices, _bron_kerbosch(g)[0]))
 
 

@@ -180,7 +180,7 @@ def _expected_stream(argv):
     return 0, "".join(map(line, hs)).encode()
 
 
-STREAM_PAIRS = ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(16, 4), (62, 2)]
+STREAM_PAIRS = ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(16, 4), (62, 2), (62, 61), (20, 17)]
 
 
 class TestStreamBytes:
@@ -231,27 +231,44 @@ class TestFamilyLines:
         head = f'{{"class":"{kind.value}","set":['
         tail = f'],"n":{n},"m":{m},"size":{size}}}'
         expected = [head + ",".join(map(str, s)) + tail for s in iter_subsets_colex(n, k)]
-        assert list(cli._family_lines(JohnsonParams(n, m), kind)) == expected
+        runs = cli._family_runs(JohnsonParams(n, m), kind, "\n")
+        assert "\n".join(runs) == "\n".join(expected)
 
     def test_class_max_is_refused_in_the_degenerate_regime(self):
         with pytest.raises(RegimeError, match="complete"):
-            next(cli._family_lines(JohnsonParams(5, 4), CliqueClass.MAX))
+            next(cli._family_runs(JohnsonParams(5, 4), CliqueClass.MAX, "\n"))
 
 
 class _Discard(io.RawIOBase):
-    """A byte sink that keeps nothing, so only the command's own memory counts."""
+    """A byte sink that keeps nothing, so only the command's own memory
+    counts; it raises _Full once it has taken ``limit`` bytes."""
+
+    def __init__(self, limit=None):
+        self.left = limit
 
     def writable(self):
         return True
 
     def write(self, b):
+        if self.left is not None:
+            self.left -= len(b)
+            if self.left <= 0:
+                raise _Full
         return len(b)
 
 
-def _peak_mib(argv):
+class _Full(Exception):
+    pass
+
+
+def _peak_mib(argv, limit=None):
+    """(exit code, or None if the sink filled up; peak traced MiB) of one run."""
     tracemalloc.start()
     try:
-        code = cli.run(argv, _Discard(), io.BytesIO())
+        try:
+            code = cli.run(argv, _Discard(limit), io.BytesIO())
+        except _Full:
+            code = None
         return code, tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -260,9 +277,17 @@ def _peak_mib(argv):
 class TestStreamMemory:
     def test_partition_streams_its_parts(self):
         # 74,613 parts (4.3 MB of text): holding them as objects peaks near
-        # 15 MiB, streaming them near 1 MiB.
+        # 15 MiB, streaming them by runs near 0.2 MiB.
         code, peak = _peak_mib(["partition", "--n", "22", "--m", "5"])
         assert code == 0
+        assert peak < 4
+
+    def test_cliques_stream_deep_sets_by_runs(self):
+        # Most runs of J(62,31) class min hold one line. Streaming its first
+        # 2 MB of lines peaks near 0.3 MiB; listing the C(61,31) sets of
+        # the larger elements up front would never reach the first write.
+        code, peak = _peak_mib(["cliques", "--n", "62", "--m", "31", "--class", "min"], 2_000_000)
+        assert code is None
         assert peak < 4
 
     def test_gen_json_streams_its_edges(self):
@@ -277,13 +302,18 @@ class TestPartitionSelfCheck:
     @pytest.mark.parametrize("n,m", [(6, 3), (5, 3)])
     @pytest.mark.parametrize("change", ["drop_last", "repeat_last"])
     def test_off_by_one_family_exits_3(self, monkeypatch, n, m, change):
-        real = cli._family_lines
+        real = cli._family_runs
 
-        def off_by_one(p, kind):
-            lines = list(real(p, kind))
-            return lines[:-1] if change == "drop_last" else lines + lines[-1:]
+        def off_by_one(p, kind, sep):
+            # Drop or repeat the last line of the last run, which has more
+            # than one line here, so the runs count the same.
+            *runs, last = real(p, kind, sep)
+            cut = last.rindex('{"class":')
+            assert cut > 0
+            last = last[: cut - len(sep)] if change == "drop_last" else last + sep + last[cut:]
+            return [*runs, last]
 
-        monkeypatch.setattr(cli, "_family_lines", off_by_one)
+        monkeypatch.setattr(cli, "_family_runs", off_by_one)
         code, out, err = run_cli(["partition", "--n", str(n), "--m", str(m)])
         assert code == 3
         assert b"internal consistency" in err and b"parts" in err

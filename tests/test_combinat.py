@@ -256,6 +256,7 @@ NON_INT_CALLS = {
     "iter_subsets_bool_k": lambda: list(iter_subsets_colex(5, True)),
     "rank_float_n": lambda: rank((1,), 2.5),
     "rank_str_n": lambda: rank((1, 2), "5"),
+    "rank_negative_n": lambda: rank((1,), -1),
     "format_label_float_str": lambda: format_label((1.5, "x")),
     "clique_from_labels_int": lambda: Clique.from_labels(5, JohnsonParams(5, 2)),
 }

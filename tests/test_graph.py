@@ -154,13 +154,13 @@ class TestNeighbors:
     @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS)
     def test_matches_bulk_swap_walk(self, n, m):
         # the per-query path and the bulk path behind edges() and export:
-        # the walk yields, for vertex i, the ranks of neighbors(u) above i,
-        # ascending
+        # given the ranks, the walk yields, for vertex i, the ranks of
+        # neighbors(u) above i, ascending
         p = JohnsonParams(n, m)
-        labels, later_ranks = _swap_walk(p)
+        labels, walk = _swap_walk(p)
         assert labels == colex_subsets(n, m)
         rank_of = {u: i for i, u in enumerate(labels)}
-        walked = list(later_ranks)
+        walked = list(walk(range(len(labels))))
         assert len(walked) == len(labels)
         for i, (u, later) in enumerate(zip(labels, walked)):
             assert later == [rank_of[v] for v in neighbors(u, p) if rank_of[v] > i], u
@@ -218,6 +218,11 @@ class TestEdges:
         with pytest.raises(RangeError, match="20 vertices, above the export cap 10"):
             next(edges(JohnsonParams(6, 3)))
 
+    @pytest.mark.parametrize("sink", [5, None, "graph.txt"])
+    def test_export_refuses_a_sink_without_write_before_any_label(self, monkeypatch, sink):
+        monkeypatch.setattr(graph, "_swap_walk", lambda p: pytest.fail("labels listed"))
+        with pytest.raises(ValidationError, match="sink must have a callable write"):
+            export(JohnsonParams(5, 2), "edgelist", sink)
 
     def test_over_cap_graph_refused_at_the_call(self, monkeypatch):
         monkeypatch.setattr(graph, "_swap_walk", lambda p: pytest.fail("labels listed"))

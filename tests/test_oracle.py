@@ -195,9 +195,9 @@ class TestMaterialize:
         # the single-swap walk: rows rebuilt from the walk's later ranks,
         # mirrored, must be the oracle's rows.
         p = JohnsonParams(n, m)
-        labels, later_ranks = _swap_walk(p)
+        labels, walk = _swap_walk(p)
         rows = [0] * len(labels)
-        for i, later in enumerate(later_ranks):
+        for i, later in enumerate(walk(range(len(labels)))):
             for j in later:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
@@ -288,6 +288,11 @@ class TestMaximalCliques:
         sizes = sorted(len(cl) for cl in cliques)
         assert sizes == [3] * 10 + [4] * 5
         assert_all_maximal(g, cliques)
+
+    @pytest.mark.parametrize("g", [5, None, ((0b10, 0b01),)])
+    def test_non_graph_is_refused(self, g):
+        with pytest.raises(ValidationError, match="expected a DenseGraph"):
+            maximal_cliques(g)
 
     def test_empty_graph(self):
         assert maximal_cliques(DenseGraph(0, ())) == []
