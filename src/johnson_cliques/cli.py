@@ -18,7 +18,6 @@ import re
 import sys
 import time
 from functools import cache, partial
-from itertools import chain
 from typing import BinaryIO, Iterator
 
 from . import graph, oracle
@@ -34,7 +33,7 @@ from .cliques import (
     clique_partition_number,
     extend_to_maximal,
 )
-from .combinat import MAX_GROUND_SET, parse_label, validate_label
+from .combinat import _CHUNK_LINES, MAX_GROUND_SET, _colex_runs, parse_label, validate_label
 from .errors import InternalConsistencyError, ValidationError
 from .graph import JohnsonParams, are_adjacent, export
 from .oracle import SkippedPair, verify_range
@@ -90,52 +89,34 @@ def _env_cap(default: int) -> int:
 # json.dumps builds a new encoder on every call with non-default separators.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-#: Most clique lines in one write, which holds _CHUNK_LINES // n runs of
-#: least elements of at most n lines each.
-_CHUNK_LINES = 4096
 
-
-def _family_runs(p: JohnsonParams, kind: CliqueClass, sep: str) -> Iterator[str]:
+def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: str) -> Iterator[str]:
     """The bytes of ``_dumps(h.to_dict())`` for each clique h of the
-    class-``kind`` family, in colex order of the defining sets, joined by
-    ``sep`` one run at a time.
+    families of ``kinds``, one family after the other, each in colex order
+    of the defining sets, joined by ``sep``: as strings of whole runs and at
+    most _CHUNK_LINES lines, each one after the first led by ``sep``.
 
-    Colex order runs over the least element fastest, so the sets that share
-    their k-1 largest elements form a run: a = 1..t with t one less than the
-    least of them. Each line is a precomputed head ``{"class":..,"set":[a``
-    plus ``rest``, the text of the larger elements and the fixed tail, so a
-    run is one join. The k-1 largest elements step through colex order as in
-    iter_subsets_colex(), and a step rewrites only the suffix texts of the
-    positions it changed.
+    Each line is a precomputed head ``{"class":..,"set":[a`` plus the text
+    of the larger elements and the fixed tail, so a run of
+    combinat._colex_runs() is one join of the head texts it slices off its
+    table around the run's shared text.
     """
-    k, size = _class_shape(p, kind)
     n = p.n
-    head = f'{{"class":"{kind.value}","set":['
-    heads = [f"{head}{a}" for a in range(1, n + 1)]
-    elements = [f",{e}" for e in range(n + 1)]
-    # top holds the k-1 largest elements, a (k-1)-subset of {2..n}, then the
-    # sentinels n+1 (the least element of the empty top when k == 1, whose
-    # run is all of 1..n) and n+3, which stops the gap search below.
-    # suffixes[i] is the text of top[i:k-1] plus the tail.
-    top = [*range(2, k + 1), n + 1, n + 3]
-    suffixes = [""] * (k - 1) + [f'],"n":{n},"m":{p.m},"size":{size}}}']
-    changed = k - 2
-    while True:
-        for i in range(changed, -1, -1):
-            suffixes[i] = elements[top[i]] + suffixes[i + 1]
-        rest = suffixes[0]
-        yield (rest + sep).join(heads[: top[0] - 1]) + rest
-        # The colex successor: raise the first element with a gap above it
-        # and reset the ones below to their least values. Sharing one stepper
-        # with iter_subsets_colex() slows both, so the rule is written twice.
-        changed = 0
-        while top[changed] + 1 == top[changed + 1]:
-            changed += 1
-        if changed == k - 1:
-            return
-        top[changed] += 1
-        for i in range(changed):
-            top[i] = i + 2
+    chunk, lines = [], 0
+    for kind in kinds:
+        k, size = _class_shape(p, kind)
+        head = f'{{"class":"{kind.value}","set":['
+        heads = [f"{head}{e}" for e in range(n + 1)]
+        elements = [f",{e}" for e in range(n + 1)]
+        tail = f'],"n":{n},"m":{p.m},"size":{size}}}'
+        for prefixes, rest in _colex_runs(n, k, heads, elements, tail):
+            count = len(prefixes)
+            if lines + count > _CHUNK_LINES:
+                yield sep.join(chunk)
+                chunk, lines = [""], 0
+            chunk.append((rest + sep).join(prefixes) + rest)
+            lines += count
+    yield sep.join(chunk)
 
 
 @cache
@@ -236,8 +217,8 @@ def _cmd_cliques(args, out, tout, terr) -> int:
     else:
         kinds = [CliqueClass.MIN, CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    runs = chain.from_iterable(_family_runs(params, k, "\n") for k in kinds)
-    graph._write_chunked(tout.write, runs, "\n", _CHUNK_LINES // params.n)
+    for text in _family_chunks(params, kinds, "\n"):
+        tout.write(text)
     tout.write("\n")
     return 0
 
@@ -273,14 +254,9 @@ def _cmd_partition(args, out, tout, terr) -> int:
     # counted in the text written are checked against it at the end.
     tout.write(f'{{"cp":{clique_partition_number(params)},"parts":[')
     parts = 0
-
-    def write(text: str) -> None:
-        nonlocal parts
+    for text in _family_chunks(params, [kind], ","):
         parts += text.count('{"class":')
         tout.write(text)
-
-    runs = _family_runs(params, kind, ",")
-    graph._write_chunked(write, runs, ",", _CHUNK_LINES // params.n)
     _check_partition(params, kind, parts)
     tout.write("]}\n")
     return 0

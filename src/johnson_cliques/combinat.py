@@ -4,6 +4,10 @@ A *label* is a sorted tuple of distinct 1-based integers. Labels are ordered
 colexicographically (largest elements compared first), which makes the rank
 of a label independent of the ambient ground-set size and lets unranking run
 in O(m) binomial evaluations with no precomputed tables.
+
+Colex order runs over the least elements fastest. iter_subsets_colex() steps
+lazily, one subset at a time; the bulk streams take whole runs of least
+elements, one slice of a prefix table each, from _colex_runs().
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ Label = tuple[int, ...]
 # C(62, 31) still fits in an unsigned 64-bit word; beyond that we refuse
 # rather than hand fixed-width consumers values they cannot hold.
 MAX_GROUND_SET = 62
+
+#: Most lines the CLI's bulk streams put in one write, and most values in
+#: the prefix table of _colex_runs(), so that a run fits in one write.
+_CHUNK_LINES = 2048
 
 _LABEL_RE = re.compile(r"\{(\d+(?:,\d+)*)\}\Z")
 
@@ -56,6 +64,8 @@ def make_label(elements: Iterable[int]) -> Label:
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
     """Check that ``label`` is a tuple, strictly increasing with int elements
     in 1..n (and of size ``m`` when given); raise ValidationError otherwise."""
+    if type(n) is not int:
+        raise ValidationError(f"n must be an int, got {n!r}")
     if not isinstance(label, tuple):
         raise ValidationError(f"label {label!r} is not a tuple")
     prev = 0
@@ -143,3 +153,54 @@ def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
         cur[i] += 1
         for j in range(i):
             cur[j] = j + 1
+
+
+def _colex_runs(n: int, k: int, firsts, others, tail) -> Iterator[tuple[list, object]]:
+    """The k-subsets of {1..n}, 1 <= k <= n, in colex order, as runs
+    ``(prefixes, rest)``: the values of a run's sets are ``q + rest`` for q
+    in ``prefixes``. The set a1 < ... < ak has the value firsts[a1] +
+    others[a2] + ... + others[ak] + tail; texts, tuples and int masks add.
+
+    A run is the sets that share their k-j largest elements, t the least of
+    them: their j least elements are the j-subsets of {1..t-1}, the first
+    C(t-1, j) entries of one table of the j-subsets of {1..n-k+j}. Level i
+    of the table holds the i-subsets of {1..n-k+i}, at least twice level
+    i-1 while i <= n-k; j is the largest such i with at most _CHUNK_LINES
+    values. The larger elements step as in iter_subsets_colex(), and
+    ``rest`` is rebuilt only at the positions a step changed.
+    """
+    d = n - k
+    j = 1
+    while j < min(k, d) and math.comb(d + j + 1, j + 1) <= _CHUNK_LINES:
+        j += 1
+    # The i+1-subsets with largest element e are the i-subsets of {1..e-1}
+    # plus e.
+    table = firsts[1 : d + 2]
+    for i in range(1, j):
+        table = [q + others[e] for e in range(i + 1, d + i + 2) for q in table[: math.comb(e - 1, i)]]
+    if j == k:
+        yield table, tail
+        return
+    # sizes[t] is C(t-1, j), the length of the run whose larger elements
+    # start at t. top holds the k-j larger elements, then the sentinels n+1
+    # and n+3, which stop the gap search below. suffixes[i] is the value of
+    # top[i:k-j] plus the tail.
+    sizes = [0] + [math.comb(t, j) for t in range(d + j + 1)]
+    h = k - j
+    top = [*range(j + 1, k + 1), n + 1, n + 3]
+    suffixes = [tail] * (h + 1)
+    changed = h - 1
+    while True:
+        for i in range(changed, -1, -1):
+            suffixes[i] = others[top[i]] + suffixes[i + 1]
+        yield table[: sizes[top[0]]], suffixes[0]
+        # The colex successor: raise the first element with a gap above it
+        # and reset the ones below to their least values.
+        changed = 0
+        while top[changed] + 1 == top[changed + 1]:
+            changed += 1
+        if changed == h:
+            return
+        top[changed] += 1
+        for i in range(changed):
+            top[i] = i + j + 1

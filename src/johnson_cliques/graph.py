@@ -8,13 +8,16 @@ materialize. The bulk paths (the edge stream and export) hold all C(n, m)
 labels and their bit masks, and walk the single swaps of each label to find
 its later neighbours only, already ascending: each edge is found once, from
 its colex-smaller end, as the value its caller gave that neighbour (a label,
-or export's text of it). export() writes the edge lines of a fixed number of
-vertices per write. The oracle builds its dense graph from the pairwise
-definition instead, so it shares no code with this walk.
+or export's text of it). The labels, the masks and export's texts are built
+by runs of least elements from combinat's prefix table, not one label at a
+time. export() writes the edge lines of a fixed number of vertices per
+write. The oracle builds its dense graph from the pairwise definition
+instead, so it shares no code with this walk.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -23,8 +26,8 @@ from .combinat import (
     MAX_GROUND_SET,
     Label,
     binomial,
+    _colex_runs,
     colex_key,
-    iter_subsets_colex,
     validate_label,
 )
 from .errors import RangeError, ValidationError
@@ -143,11 +146,13 @@ def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Callable[[Iterable], Iter
     the label pairs with the masks that drop one of its k smallest elements,
     largest first: one lookup per edge in a mask -> value dict, which the
     walk fills from the caller's values, with no sort. Holds all C(n, m)
-    labels and masks up front, and the dict while the walk runs.
+    labels and masks up front, each list built by runs, and the dict while
+    the walk runs.
     """
-    labels = list(iter_subsets_colex(p.n, p.m))
     bits = [1 << e for e in range(p.n + 1)]
-    masks = [sum(bits[e] for e in label) for label in labels]
+    singles = [(e,) for e in range(p.n + 1)]
+    labels = _colex_values(p, singles, singles, ())
+    masks = _colex_values(p, bits, bits, 0)
     ends = (p.n + 1,)
     # rests[start:] drops one of the m - start smallest elements, largest
     # first; the run after the label's i-th element uses start = m-1-i.
@@ -167,6 +172,12 @@ def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Callable[[Iterable], Iter
             ]
 
     return labels, walk
+
+
+def _colex_values(p: JohnsonParams, firsts: list, others: list, tail) -> list:
+    """The value of each m-subset of {1..n}, in colex order, built as
+    combinat._colex_runs() says from ``firsts``, ``others`` and ``tail``."""
+    return [q + rest for prefixes, rest in _colex_runs(p.n, p.m, firsts, others, tail) for q in prefixes]
 
 
 def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
@@ -217,33 +228,40 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
 
     Refuses caps below 1, graphs with more than ``max_vertices`` vertices
     (default: DEFAULT_EXPORT_CAP, read when the call is made), unknown
-    formats and a sink with no callable ``write``, before any work. Like edges(), it holds all C(n, m)
-    labels and their bit masks, O(C(n, m)) memory. The formats differ only
-    in each vertex's name (the label, its DOT id or its rank) and the fixed
-    text around each edge: each name is formatted once and fills the walk's
-    table, so the walk yields each vertex's later neighbours by name, which
-    are joined into its edge lines at once, and the lines of
-    _CHUNK_VERTICES vertices go out as one write.
+    formats, and a sink with no callable ``write`` or a text stream's, before
+    any work. Like edges(), it holds all C(n, m) labels and their bit masks,
+    O(C(n, m)) memory. The formats differ only in each vertex's name (the
+    label, its DOT id or its rank) and the fixed text around each edge: the
+    names are built by runs, as the labels are, and fill the walk's table,
+    so the walk yields each vertex's later neighbours by name, which are
+    joined into its edge lines at once, and the lines of _CHUNK_VERTICES
+    vertices go out as one write.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    if not callable(getattr(sink, "write", None)):
-        raise ValidationError(f"sink must have a callable write, got {sink!r}")
+    if isinstance(sink, io.TextIOBase) or not callable(getattr(sink, "write", None)):
+        raise ValidationError(f"sink must have a callable write that takes bytes, got {sink!r}")
     _check_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices, "export")
     labels, walk = _swap_walk(p)
+    digits = [str(e) for e in range(p.n + 1)]
+
+    def texts(opening: str, between: str, closing: str) -> list[str]:
+        # Each label's elements joined by ``between``, in colex order.
+        return _colex_values(p, [opening + d for d in digits], [between + d for d in digits], closing)
+
     # The text of edge (u, v) is left + names[u] + mid + names[v] + right,
     # and consecutive edges are separated by sep.
     if fmt == "edgelist":
-        names = ["{" + ",".join(map(str, u)) + "}" for u in labels]
+        names = texts("{", ",", "}")
         opening = closing = ""
         left, mid, right, sep = "", " -- ", "\n", ""
     elif fmt == "dot":
-        names = ["_".join(map(str, u)) for u in labels]
+        names = texts("", "_", "")
         opening, closing = f"graph J_{p.n}_{p.m} {{\n", "}\n"
         left, mid, right, sep = '  "', '" -- "', '";\n', ""
     else:
         names = [str(i) for i in range(len(labels))]
-        vertices = ",".join(["[" + ",".join(map(str, u)) + "]" for u in labels])
+        vertices = ",".join(texts("[", ",", "]"))
         opening = f'{{"n":{p.n},"m":{p.m},"vertices":[{vertices}],"edges":['
         closing = "]}\n"
         left, mid, right, sep = "[", ",", "]", ","
@@ -255,17 +273,9 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
         if later
     )
     sink.write(opening.encode())
-    _write_chunked(lambda text: sink.write(text.encode()), blocks, sep, _CHUNK_VERTICES)
+    lead = ""
+    while chunk := list(islice(blocks, _CHUNK_VERTICES)):
+        sink.write((lead + sep.join(chunk)).encode())
+        lead = sep
     sink.write(closing.encode())
 
-
-def _write_chunked(
-    write: Callable[[str], object], items: Iterable[str], sep: str, size: int
-) -> None:
-    """Pass ``items``, separated by ``sep``, to ``write`` ``size`` items at a
-    time."""
-    items = iter(items)
-    lead = ""
-    while chunk := list(islice(items, size)):
-        write(lead + sep.join(chunk))
-        lead = sep

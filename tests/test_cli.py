@@ -231,12 +231,12 @@ class TestFamilyLines:
         head = f'{{"class":"{kind.value}","set":['
         tail = f'],"n":{n},"m":{m},"size":{size}}}'
         expected = [head + ",".join(map(str, s)) + tail for s in iter_subsets_colex(n, k)]
-        runs = cli._family_runs(JohnsonParams(n, m), kind, "\n")
-        assert "\n".join(runs) == "\n".join(expected)
+        chunks = cli._family_chunks(JohnsonParams(n, m), [kind], "\n")
+        assert "".join(chunks) == "\n".join(expected)
 
     def test_class_max_is_refused_in_the_degenerate_regime(self):
         with pytest.raises(RegimeError, match="complete"):
-            next(cli._family_runs(JohnsonParams(5, 4), CliqueClass.MAX, "\n"))
+            next(cli._family_chunks(JohnsonParams(5, 4), [CliqueClass.MAX], "\n"))
 
 
 class _Discard(io.RawIOBase):
@@ -274,6 +274,42 @@ def _peak_mib(argv, limit=None):
         tracemalloc.stop()
 
 
+class _Lines(_Discard):
+    """A _Discard that records the clique lines of each write."""
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.lines = []
+
+    def write(self, b):
+        self.lines.append(bytes(b).count(b'{"class":'))
+        return super().write(b)
+
+
+class TestStreamWrites:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cliques", "--n", "22", "--m", "4"],
+            ["partition", "--n", "15", "--m", "5"],
+            ["partition", "--n", "13", "--m", "7"],
+            ["cliques", "--n", "16", "--m", "4"],
+            ["partition", "--n", "16", "--m", "4"],
+        ],
+    )
+    def test_no_write_holds_more_than_a_chunk(self, argv):
+        sink = _Lines()
+        assert cli.run(argv, sink, io.BytesIO()) == 0
+        assert 0 < max(sink.lines) <= cli._CHUNK_LINES
+
+    def test_deep_sets_too(self):
+        # The first 2 MB of J(62,31) class min: runs of a few lines each.
+        sink = _Lines(2_000_000)
+        with pytest.raises(_Full):
+            cli.run(["cliques", "--n", "62", "--m", "31", "--class", "min"], sink, io.BytesIO())
+        assert max(sink.lines) <= cli._CHUNK_LINES < sum(sink.lines)
+
+
 class TestStreamMemory:
     def test_partition_streams_its_parts(self):
         # 74,613 parts (4.3 MB of text): holding them as objects peaks near
@@ -302,18 +338,18 @@ class TestPartitionSelfCheck:
     @pytest.mark.parametrize("n,m", [(6, 3), (5, 3)])
     @pytest.mark.parametrize("change", ["drop_last", "repeat_last"])
     def test_off_by_one_family_exits_3(self, monkeypatch, n, m, change):
-        real = cli._family_runs
+        real = cli._family_chunks
 
-        def off_by_one(p, kind, sep):
-            # Drop or repeat the last line of the last run, which has more
-            # than one line here, so the runs count the same.
-            *runs, last = real(p, kind, sep)
+        def off_by_one(p, kinds, sep):
+            # Drop or repeat the last line of the last chunk, which has more
+            # than one line here, so the chunks count the same.
+            *chunks, last = real(p, kinds, sep)
             cut = last.rindex('{"class":')
             assert cut > 0
             last = last[: cut - len(sep)] if change == "drop_last" else last + sep + last[cut:]
-            return [*runs, last]
+            return [*chunks, last]
 
-        monkeypatch.setattr(cli, "_family_runs", off_by_one)
+        monkeypatch.setattr(cli, "_family_chunks", off_by_one)
         code, out, err = run_cli(["partition", "--n", str(n), "--m", str(m)])
         assert code == 3
         assert b"internal consistency" in err and b"parts" in err

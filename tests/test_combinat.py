@@ -1,4 +1,5 @@
 import io
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -38,6 +39,7 @@ from johnson_cliques import (
     verify,
     vertex_count,
 )
+from johnson_cliques.combinat import _CHUNK_LINES, _colex_runs
 from helpers import colex_subsets, pascal_binomial, pascal_triangle
 
 
@@ -259,6 +261,10 @@ NON_INT_CALLS = {
     "rank_negative_n": lambda: rank((1,), -1),
     "format_label_float_str": lambda: format_label((1.5, "x")),
     "clique_from_labels_int": lambda: Clique.from_labels(5, JohnsonParams(5, 2)),
+    "validate_label_str_n": lambda: validate_label((1,), "5"),
+    "validate_label_none_n": lambda: validate_label((1,), None),
+    "validate_label_float_n": lambda: validate_label((1,), 5.5),
+    "validate_label_bool_n": lambda: validate_label((1,), True),
 }
 
 
@@ -365,3 +371,63 @@ class TestColexStream:
         stream = iter_subsets_colex(MAX_GROUND_SET + 2, MAX_GROUND_SET + 1)
         with pytest.raises(RangeError, match=f"n={MAX_GROUND_SET + 2} exceeds"):
             next(stream)
+
+
+# Each kind of value the bulk streams build by runs: the per-set value, and
+# the per-element lists and tail that _colex_runs() adds up to it.
+RUN_KINDS = {
+    "text": (
+        lambda s: "<" + ",".join(map(str, s)) + ">",
+        lambda n: ([f"<{e}" for e in range(n + 1)], [f",{e}" for e in range(n + 1)], ">"),
+    ),
+    "mask": (
+        lambda s: sum(1 << e for e in s),
+        lambda n: ([1 << e for e in range(n + 1)], [1 << e for e in range(n + 1)], 0),
+    ),
+    "tuple": (
+        lambda s: s,
+        lambda n: ([(e,) for e in range(n + 1)], [(e,) for e in range(n + 1)], ()),
+    ),
+}
+
+
+def _run_values(n, k, kind):
+    firsts, others, tail = RUN_KINDS[kind][1](n)
+    for prefixes, rest in _colex_runs(n, k, firsts, others, tail):
+        assert 0 < len(prefixes) <= _CHUNK_LINES
+        yield from (q + rest for q in prefixes)
+
+
+class TestColexRuns:
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_every_small_shape_matches_the_per_set_values(self, kind):
+        value = RUN_KINDS[kind][0]
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                expected = [value(s) for s in colex_subsets(n, k)]
+                assert list(_run_values(n, k, kind)) == expected, (n, k)
+
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    @pytest.mark.parametrize("k", [1, 61, 62])
+    def test_widest_ground_set(self, kind, k):
+        value = RUN_KINDS[kind][0]
+        expected = [value(s) for s in colex_subsets(MAX_GROUND_SET, k)]
+        assert list(_run_values(MAX_GROUND_SET, k, kind)) == expected
+
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_deepest_shape_starts_as_the_lazy_stream(self, kind):
+        # C(62, 31) sets are far too many to list. The first 30,000 come in
+        # runs of 1, 3, 6 or 10 sets, most of them of one.
+        value = RUN_KINDS[kind][0]
+        expected = [value(s) for s in islice(iter_subsets_colex(62, 31), 30_000)]
+        assert list(islice(_run_values(62, 31, kind), 30_000)) == expected
+
+    def test_runs_are_all_sets_sharing_their_larger_elements(self):
+        # J(13,5)'s labels fit the table whole: one run. C(22,5) do not, so
+        # the three least elements run over the table of 1,140 3-subsets.
+        singles = [(e,) for e in range(23)]
+        assert [len(q) for q, _ in _colex_runs(13, 5, singles, singles, ())] == [1287]
+        runs = list(_colex_runs(22, 5, singles, singles, ()))
+        assert [rest for _, rest in runs] == [(a + 3, b + 3) for a, b in iter_subsets_colex(19, 2)]
+        assert [len(q) for q, (t, _) in runs] == [binomial(t - 1, 3) for _, (t, _) in runs]
+        assert max(len(q) for q, _ in runs) == binomial(20, 3) == 1140

@@ -218,7 +218,9 @@ class TestEdges:
         with pytest.raises(RangeError, match="20 vertices, above the export cap 10"):
             next(edges(JohnsonParams(6, 3)))
 
-    @pytest.mark.parametrize("sink", [5, None, "graph.txt"])
+    # A text stream has a callable write, but one that takes str, not the
+    # bytes export writes.
+    @pytest.mark.parametrize("sink", [5, None, "graph.txt", io.StringIO()])
     def test_export_refuses_a_sink_without_write_before_any_label(self, monkeypatch, sink):
         monkeypatch.setattr(graph, "_swap_walk", lambda p: pytest.fail("labels listed"))
         with pytest.raises(ValidationError, match="sink must have a callable write"):
