@@ -5,9 +5,10 @@ colexicographically (largest elements compared first), which makes the rank
 of a label independent of the ambient ground-set size and lets unranking run
 in O(m) binomial evaluations with no precomputed tables.
 
-Colex order runs over the least elements fastest. iter_subsets_colex() steps
-lazily, one subset at a time; the bulk streams take whole runs of least
-elements, one slice of a prefix table each, from _colex_runs().
+Colex order runs over the least elements fastest. _colex_runs() holds the
+one colex successor rule and yields whole runs of least elements, one slice
+of a prefix table each; iter_subsets_colex() and the bulk streams take their
+sets from it.
 """
 
 from __future__ import annotations
@@ -133,26 +134,18 @@ def unrank(r: int, n: int, m: int) -> Label:
 
 
 def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
-    """All k-subsets of {1..n} in colex order, generated lazily. At the
-    first item, binomial(n, k) checks n and k, as in unrank(); it is 0, and
-    the stream empty, when k > n."""
+    """All k-subsets of {1..n} in colex order, as tuples from the runs of
+    _colex_runs(). At the first item, binomial(n, k) checks n and k, as in
+    unrank(); it is 0, and the stream empty, when k > n."""
     if not binomial(n, k):
         return
     if k == 0:
         yield ()
         return
-    cur = list(range(1, k + 1))
-    last = list(range(n - k + 1, n + 1))
-    while True:
-        yield tuple(cur)
-        if cur == last:
-            return
-        i = 0
-        while cur[i] + 1 == (cur[i + 1] if i + 1 < k else n + 1):
-            i += 1
-        cur[i] += 1
-        for j in range(i):
-            cur[j] = j + 1
+    singles = [(e,) for e in range(n + 1)]
+    for prefixes, rest in _colex_runs(n, k, singles, singles, ()):
+        for q in prefixes:
+            yield q + rest
 
 
 def _colex_runs(n: int, k: int, firsts, others, tail) -> Iterator[tuple[list, object]]:
@@ -166,8 +159,10 @@ def _colex_runs(n: int, k: int, firsts, others, tail) -> Iterator[tuple[list, ob
     C(t-1, j) entries of one table of the j-subsets of {1..n-k+j}. Level i
     of the table holds the i-subsets of {1..n-k+i}, at least twice level
     i-1 while i <= n-k; j is the largest such i with at most _CHUNK_LINES
-    values. The larger elements step as in iter_subsets_colex(), and
-    ``rest`` is rebuilt only at the positions a step changed.
+    values. The larger elements step by the colex successor: the least of
+    them with a gap above it (n+1 counts as above the largest) goes up by
+    one, and the ones below it go back to j+1, j+2, ...; ``rest`` is
+    rebuilt only at the positions a step changed.
     """
     d = n - k
     j = 1
@@ -194,8 +189,7 @@ def _colex_runs(n: int, k: int, firsts, others, tail) -> Iterator[tuple[list, ob
         for i in range(changed, -1, -1):
             suffixes[i] = others[top[i]] + suffixes[i + 1]
         yield table[: sizes[top[0]]], suffixes[0]
-        # The colex successor: raise the first element with a gap above it
-        # and reset the ones below to their least values.
+        # The successor; changed == h (no element has a gap) ends the stream.
         changed = 0
         while top[changed] + 1 == top[changed + 1]:
             changed += 1

@@ -10,10 +10,12 @@ that holds on any graph, since the candidates and excluded vertices are the
 common neighbourhood of the node's base. The graph is built from the
 pairwise "share m-1 elements" definition by column masks, not from the
 single-swap walk that the edge stream and export use; the tests check that
-the two give the same rows. Each check runs once per call: when the
-partition's parts are one family's cliques, the partition inherits that
-family's edge-cover verdict instead of mapping the same members to the same
-bits again.
+the two give the same rows. Its labels are every m-combination of {1..n}
+sorted by the reversed tuple, colex order by its definition, so it shares no
+colex stepper with the streams and enumerations it checks. Each check runs
+once per call: when the partition's parts are one family's cliques, the
+partition inherits that family's edge-cover verdict instead of mapping the
+same members to the same bits again.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Container, Iterable, Iterator
 
-from .combinat import MAX_GROUND_SET, Label, binomial, iter_subsets_colex
+from .combinat import MAX_GROUND_SET, Label, binomial, colex_key
 from .cliques import (
     clique_number,
     clique_partition,
@@ -106,13 +109,14 @@ def materialize(p: JohnsonParams, max_vertices: int | None = None) -> DenseGraph
 
 
 def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
-    """The labels in colex order and the graph whose vertex i is labels[i],
-    built from the definition: row i holds every other label that has all
-    but one element x of label i. With col[e] the mask of the labels that
-    hold e, that is the OR over x in label i of the AND of col[e] over the
-    rest of label i, taken from prefix and suffix ANDs."""
+    """The labels in colex order, every m-combination sorted by the
+    reversed tuple, and the graph whose vertex i is labels[i], built from
+    the definition: row i holds every other label that has all but one
+    element x of label i. With col[e] the mask of the labels that hold e,
+    that is the OR over x in label i of the AND of col[e] over the rest of
+    label i, taken from prefix and suffix ANDs."""
     _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
-    labels = list(iter_subsets_colex(p.n, p.m))
+    labels = sorted(combinations(range(1, p.n + 1), p.m), key=colex_key)
     col = [0] * (p.n + 1)
     for i, label in enumerate(labels):
         bit = 1 << i

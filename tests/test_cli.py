@@ -27,11 +27,10 @@ from johnson_cliques import (
     edge_count,
     enumerate_max_cliques,
     enumerate_min_cliques,
-    iter_subsets_colex,
     verify,
 )
 from johnson_cliques.oracle import VERIFY_PHASES
-from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS
+from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS, colex_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -230,7 +229,7 @@ class TestFamilyLines:
         size = m + 1 if kind is CliqueClass.MIN else n - m + 1
         head = f'{{"class":"{kind.value}","set":['
         tail = f'],"n":{n},"m":{m},"size":{size}}}'
-        expected = [head + ",".join(map(str, s)) + tail for s in iter_subsets_colex(n, k)]
+        expected = [head + ",".join(map(str, s)) + tail for s in colex_subsets(n, k)]
         chunks = cli._family_chunks(JohnsonParams(n, m), [kind], "\n")
         assert "".join(chunks) == "\n".join(expected)
 

@@ -1,3 +1,4 @@
+import functools
 import io
 from itertools import islice
 
@@ -347,7 +348,13 @@ class TestCliqueArgument:
 
 
 class TestColexStream:
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 1), (6, 6), (5, 0)])
+    # Every shape of the prefix table: j = k, k = n and n - k < j, with
+    # k = 0 and k = n at the widest ground set.
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in range(15) for k in range(n + 1)]
+        + [(MAX_GROUND_SET, k) for k in (0, 1, 2, 61, 62)],
+    )
     def test_matches_sorted_enumeration(self, n, k):
         assert list(iter_subsets_colex(n, k)) == colex_subsets(n, k)
 
@@ -398,6 +405,13 @@ def _run_values(n, k, kind):
         yield from (q + rest for q in prefixes)
 
 
+@functools.cache
+def _deepest_prefix():
+    """The 30,000 least 31-subsets of {1..62} in colex order, each one
+    unranked on its own."""
+    return [unrank(r, 62, 31) for r in range(30_000)]
+
+
 class TestColexRuns:
     @pytest.mark.parametrize("kind", RUN_KINDS)
     def test_every_small_shape_matches_the_per_set_values(self, kind):
@@ -419,7 +433,9 @@ class TestColexRuns:
         # C(62, 31) sets are far too many to list. The first 30,000 come in
         # runs of 1, 3, 6 or 10 sets, most of them of one.
         value = RUN_KINDS[kind][0]
-        expected = [value(s) for s in islice(iter_subsets_colex(62, 31), 30_000)]
+        prefix = _deepest_prefix()
+        assert list(islice(iter_subsets_colex(62, 31), 30_000)) == prefix
+        expected = [value(s) for s in prefix]
         assert list(islice(_run_values(62, 31, kind), 30_000)) == expected
 
     def test_runs_are_all_sets_sharing_their_larger_elements(self):
@@ -428,6 +444,6 @@ class TestColexRuns:
         singles = [(e,) for e in range(23)]
         assert [len(q) for q, _ in _colex_runs(13, 5, singles, singles, ())] == [1287]
         runs = list(_colex_runs(22, 5, singles, singles, ()))
-        assert [rest for _, rest in runs] == [(a + 3, b + 3) for a, b in iter_subsets_colex(19, 2)]
+        assert [rest for _, rest in runs] == [(a + 3, b + 3) for a, b in colex_subsets(19, 2)]
         assert [len(q) for q, (t, _) in runs] == [binomial(t - 1, 3) for _, (t, _) in runs]
         assert max(len(q) for q, _ in runs) == binomial(20, 3) == 1140

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import johnson_cliques.combinat as combinat
 import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     CliquePartition,
@@ -535,6 +536,22 @@ class TestVerify:
         report = verify(p)
         assert not report.checks["edge_law_ok"]
         assert not report.checks["partition_ok"]
+        assert not report.passed
+
+    def test_colex_stepper_fault_is_reported(self, monkeypatch):
+        # The enumerations take their sets from combinat._colex_runs(); the
+        # oracle sorts its labels out of combinations(). A stepper that drops
+        # the last set of every run longer than one must fail verify.
+        real = combinat._colex_runs
+
+        def dropping(*args):
+            for prefixes, rest in real(*args):
+                yield (prefixes[:-1] if len(prefixes) > 1 else prefixes), rest
+
+        monkeypatch.setattr(combinat, "_colex_runs", dropping)
+        report = verify(JohnsonParams(9, 4))
+        assert report.oracle_clique_count == 210
+        assert not report.checks["sets_equal"]
         assert not report.passed
 
     def test_failed_partition_is_reported(self, monkeypatch):
