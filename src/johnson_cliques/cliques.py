@@ -157,11 +157,6 @@ class CliquePartition:
 
     parts: tuple[MaximalClique, ...]
 
-    @property
-    def covered_edge_count(self) -> int:
-        """Edges covered by the parts: each part is a clique of one common size."""
-        return len(self.parts) * binomial(self.parts[0].size, 2) if self.parts else 0
-
     def to_dict(self) -> dict:
         return {"cp": len(self.parts), "parts": [h.to_dict() for h in self.parts]}
 

@@ -173,13 +173,10 @@ def _colex_runs(n: int, k: int, firsts, others, tail) -> Iterator[tuple[list, ob
     table = firsts[1 : d + 2]
     for i in range(1, j):
         table = [q + others[e] for e in range(i + 1, d + i + 2) for q in table[: math.comb(e - 1, i)]]
-    if j == k:
-        yield table, tail
-        return
     # sizes[t] is C(t-1, j), the length of the run whose larger elements
-    # start at t. top holds the k-j larger elements, then the sentinels n+1
-    # and n+3, which stop the gap search below. suffixes[i] is the value of
-    # top[i:k-j] plus the tail.
+    # start at t. top holds the k-j larger elements (none when j == k: one
+    # run, the whole table), then the sentinels n+1 and n+3, which stop the
+    # gap search below. suffixes[i] is the value of top[i:k-j] plus the tail.
     sizes = [0] + [math.comb(t, j) for t in range(d + j + 1)]
     h = k - j
     top = [*range(j + 1, k + 1), n + 1, n + 3]

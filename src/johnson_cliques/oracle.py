@@ -12,10 +12,10 @@ pairwise "share m-1 elements" definition by column masks, not from the
 single-swap walk that the edge stream and export use; the tests check that
 the two give the same rows. Its labels are every m-combination of {1..n}
 sorted by the reversed tuple, colex order by its definition, so it shares no
-colex stepper with the streams and enumerations it checks. Each check runs
-once per call: when the partition's parts are one family's cliques, the
-partition inherits that family's edge-cover verdict instead of mapping the
-same members to the same bits again.
+colex stepper with the streams and enumerations it checks. The edge law
+compares edge_count() with the graph's own edge total and covers that graph
+with each family; the partition passes only when its parts are, in order, a
+family whose cover passed, so no part is mapped to bits a second time.
 """
 
 from __future__ import annotations
@@ -357,9 +357,6 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     # Closed-form members reach the rows only through the oracle's own labels.
     bit_of = {label: 1 << i for i, label in enumerate(labels)}.__getitem__
 
-    def masks_of(family) -> list[int]:
-        return [sum(map(bit_of, h.members())) for h in family]
-
     # (class, cliques, k): each clique of a class is fixed by a k-set.
     classes = [("class-min", tuple(enumerate_min_cliques(p)), m + 1)]
     if p.degenerate:
@@ -369,7 +366,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         )
     else:
         classes.append(("class-max", tuple(enumerate_max_cliques(p)), m - 1))
-    masks = [masks_of(cliques) for _, cliques, _ in classes]
+    masks = [[sum(map(bit_of, h.members())) for h in cliques] for _, cliques, _ in classes]
     families = [set(family) for family in masks]
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
@@ -386,31 +383,20 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         notes.append(f"observed maximum clique size {max_size}, formula gives {clique_number(p)}")
     marks.append(time.perf_counter())
 
-    identity_ok = (
-        binomial(n, m + 1) * binomial(m + 1, 2)
-        == edge_count(p)
-        == binomial(n, m - 1) * binomial(n - m + 1, 2)
-    )
+    edges = g.edge_total()
     covers = [_covers_each_edge_once(family, g.rows) for family in masks]
-    checks["edge_law_ok"] = identity_ok and all(covers)
+    checks["edge_law_ok"] = edge_count(p) == edges and all(covers)
     if not checks["edge_law_ok"]:
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
     try:
         part = clique_partition(p)
-        # Members depend only on (params, kind, defining set), so parts equal
-        # to a family's cliques cover the edges as that family does.
-        covered_once = next(
-            (ok for (_, cliques, _), ok in zip(classes, covers) if cliques == part.parts),
-            None,
-        )
-        if covered_once is None:
-            covered_once = _covers_each_edge_once(masks_of(part.parts), g.rows)
-        checks["partition_ok"] = (
-            len(part.parts) == clique_partition_number(p)
-            and part.covered_edge_count == edge_count(p)
-            and covered_once
+        # Each edge lies in exactly one clique of each class, so the only
+        # partition into cliques of one class is that class's whole family:
+        # the parts must be, in order, a family whose cover passed above.
+        checks["partition_ok"] = len(part.parts) == clique_partition_number(p) and any(
+            ok and cliques == part.parts for (_, cliques, _), ok in zip(classes, covers)
         )
     except InternalConsistencyError as exc:
         checks["partition_ok"] = False
@@ -429,7 +415,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         },
         counters={
             "vertices": g.vertex_count,
-            "edges": g.edge_total(),
+            "edges": edges,
             "expand_calls": expand_calls,
             "cliques_found": len(oracle),
         },

@@ -191,9 +191,10 @@ def test_criterion_6_partition(oracle_cache, capsys):
                 marks[key] += 1
         if any(count != 1 for count in marks.values()):
             failures.append((n, m, "coverage not exactly once"))
-    boundary = clique_partition(JohnsonParams(6, 3))
-    if len(boundary.parts) != 15 or boundary.covered_edge_count != 90:
-        failures.append(("J_6(3,2) boundary", len(boundary.parts), boundary.covered_edge_count))
+    boundary = clique_partition(JohnsonParams(6, 3)).parts
+    covered = len(boundary) * binomial(boundary[0].size, 2)
+    if len(boundary) != 15 or covered != 90:
+        failures.append(("J_6(3,2) boundary", len(boundary), covered))
     with capsys.disabled():
         _report(6, "edge partitions have the formula size and exact coverage", failures)
 

@@ -11,7 +11,6 @@ from johnson_cliques import (
     ClassificationKind,
     Clique,
     CliqueClass,
-    CliquePartition,
     JohnsonParams,
     MaximalClique,
     RegimeError,
@@ -475,7 +474,6 @@ class TestPartition:
         part = clique_partition(p)
         assert len(part.parts) == expected_parts == clique_partition_number(p)
         assert all(h.kind is expected_class for h in part.parts)
-        assert part.covered_edge_count == edge_count(p)
         # mark-and-count against the quadratic-scan edge list
         marks = {frozenset(pair): 0 for pair in quadratic_edges(colex_subsets(n, m))}
         for h in part.parts:
@@ -495,10 +493,6 @@ class TestPartition:
             p = JohnsonParams(n, m)
             part = clique_partition(p)
             assert part.parts == (MaximalClique(p, CliqueClass.MIN, tuple(range(1, n + 1))),)
-            assert part.covered_edge_count == edge_count(p)
-
-    def test_no_parts_cover_no_edges(self):
-        assert CliquePartition(()).covered_edge_count == 0
 
     def test_serialization(self):
         d = clique_partition(J42).to_dict()

@@ -22,6 +22,7 @@ from johnson_cliques import (
     binomial,
     clique_partition,
     edge_count,
+    enumerate_min_cliques,
     materialize,
     maximal_cliques,
     unrank,
@@ -465,15 +466,34 @@ class TestVerify:
             "notes",
         ]
 
-    def test_partition_coverage_checked_edge_by_edge(self, monkeypatch):
-        # Replacing one part by a copy of another keeps the part count and
-        # the counted edges right while one edge is covered twice and
-        # another not at all; only the exhaustive check can see it.
-        real = clique_partition(JohnsonParams(5, 3))
-        broken = CliquePartition((real.parts[0],) + real.parts[:-1])
+    @pytest.mark.parametrize(
+        "breaking",
+        [
+            # One part repeated in place of the last: the part count and the
+            # counted edges stay right, one edge is covered twice.
+            lambda parts: (parts[0],) + parts[:-1],
+            # Every edge still covered once, but not in the family's order.
+            lambda parts: parts[::-1],
+            lambda parts: tuple(enumerate_min_cliques(JohnsonParams(5, 3))),
+            lambda parts: parts[1:],
+        ],
+        ids=["repeated", "reversed", "class_min", "first_dropped"],
+    )
+    def test_partition_coverage_checked_edge_by_edge(self, monkeypatch, breaking):
+        # J(5,3) is partitioned by its class-max family.
+        broken = CliquePartition(breaking(clique_partition(JohnsonParams(5, 3)).parts))
         monkeypatch.setattr(oracle, "clique_partition", lambda p: broken)
         report = verify(JohnsonParams(5, 3))
         assert not report.checks["partition_ok"]
+        assert not report.passed
+
+    def test_wrong_edge_count_fails_only_the_edge_law(self, monkeypatch):
+        # The partition is judged by the family covers, not by edge_count().
+        monkeypatch.setattr(oracle, "edge_count", lambda p: edge_count(p) + 1)
+        report = verify(JohnsonParams(5, 3))
+        assert not report.checks["edge_law_ok"]
+        assert "edge law failed: some edge is not in exactly one clique per class" in report.notes
+        assert report.checks["partition_ok"]
         assert not report.passed
 
     @pytest.mark.parametrize(
