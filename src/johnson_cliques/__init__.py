@@ -22,7 +22,7 @@ from .combinat import (
     unrank,
     validate_label,
 )
-from .errors import InternalConsistencyError, RangeError, RegimeError, ValidationError
+from .errors import RangeError, RegimeError, ValidationError
 from .graph import (
     Edge,
     JohnsonParams,

@@ -41,8 +41,8 @@ from .combinat import (
     make_label,
     validate_label,
 )
-from .errors import InternalConsistencyError, RegimeError, ValidationError
-from .graph import JohnsonParams, _check_params, edge_count
+from .errors import RegimeError, ValidationError
+from .graph import JohnsonParams, _check_params
 
 
 class CliqueClass(str, Enum):
@@ -328,35 +328,15 @@ def _partition_class(p: JohnsonParams) -> CliqueClass:
     return CliqueClass.MAX if p.m + 2 <= p.n < 2 * p.m else CliqueClass.MIN
 
 
-def _check_partition(p: JohnsonParams, kind: CliqueClass, parts: int) -> None:
-    """O(1) check of a class-``kind`` edge partition of ``parts`` cliques:
-    raises InternalConsistencyError unless the part count equals
-    clique_partition_number and the parts cover edge_count edges.
-
-    No edge lies in two parts: two distinct (m+1)-sets share at most one
-    m-subset, and two distinct (m-1)-cores have at most one common
-    m-superset (their union). So the parts cover exactly
-    parts * C(size, 2) distinct edges, and matching the edge count proves
-    the cover exact. verify() re-checks it edge by edge.
-    """
-    covered = parts * binomial(_class_shape(p, kind)[1], 2)
-    if parts != clique_partition_number(p) or covered != edge_count(p):
-        raise InternalConsistencyError(
-            f"partition has {parts} parts covering {covered} edges; "
-            f"expected {clique_partition_number(p)} parts and {edge_count(p)} edges"
-        )
-
-
 def clique_partition(p: JohnsonParams) -> CliquePartition:
     """Partition the edge set into maximal cliques of a single class.
 
     Uses the class-max family when m+2 <= n < 2m and the class-min family
     otherwise (at n == 2m both families have the same size; at n == m+1 the
-    one class-min clique is the whole graph). The part count and the covered
-    edge count are checked in O(1).
+    one class-min clique is the whole graph). Every edge lies in exactly one
+    clique of each class, so a whole family is an edge partition;
+    oracle.verify() checks it edge by edge.
     """
     _check_params(p)
     kind = _partition_class(p)
-    parts = tuple(_family(p, kind, _class_shape(p, kind)[0]))
-    _check_partition(p, kind, len(parts))
-    return CliquePartition(parts)
+    return CliquePartition(tuple(_family(p, kind, _class_shape(p, kind)[0])))

@@ -30,7 +30,7 @@ MAX_GROUND_SET = 62
 #: the prefix table of _colex_runs(), so that a run fits in one write.
 _CHUNK_LINES = 2048
 
-_LABEL_RE = re.compile(r"\{(\d+(?:,\d+)*)\}\Z")
+_LABEL_RE = re.compile(r"\{(\d+(?:,\d+)*)\}\Z", re.ASCII)
 
 
 def binomial(n: int, k: int) -> int:
@@ -92,8 +92,11 @@ def parse_label(text: str) -> Label:
 
 def format_label(label: Label) -> str:
     """Render a label in the canonical ``{a,b,c}`` form; ValidationError for
-    a label that validate_label() refuses."""
+    a label that validate_label() refuses and for the empty label, which
+    parse_label() would not read back."""
     validate_label(label, MAX_GROUND_SET)
+    if not label:
+        raise ValidationError("the empty label has no text form; a label needs an element")
     return "{" + ",".join(str(e) for e in label) + "}"
 
 

@@ -13,7 +13,3 @@ class RangeError(ValidationError):
 class RegimeError(ValidationError):
     """An operation was asked about the degenerate regime n = m + 1, where the
     graph is complete and the fixed-core clique class is not maximal."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural law that must always hold failed. Indicates a bug."""

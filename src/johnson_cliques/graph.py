@@ -56,8 +56,7 @@ class JohnsonParams:
             raise ValidationError(f"m must be an int of at least 2, got m={self.m!r}")
         if type(self.n) is not int or self.n < self.m + 1:
             raise ValidationError(f"n must be an int of at least m+1={self.m + 1}, got n={self.n!r}")
-        if self.n > MAX_GROUND_SET:
-            raise RangeError(f"n={self.n} exceeds the supported bound n <= {MAX_GROUND_SET}")
+        binomial(self.n, self.m)  # binomial owns the n <= MAX_GROUND_SET rule
 
     @property
     def degenerate(self) -> bool:

@@ -35,7 +35,7 @@ from .cliques import (
     enumerate_max_cliques,
     enumerate_min_cliques,
 )
-from .errors import InternalConsistencyError, RangeError, ValidationError
+from .errors import RangeError, ValidationError
 from .graph import JohnsonParams, _check_cap, _check_knob, edge_count
 
 #: Largest graph the oracle builds by default; every entry point reads it at the call.
@@ -385,22 +385,21 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
 
     edges = g.edge_total()
     covers = [_covers_each_edge_once(family, g.rows) for family in masks]
-    checks["edge_law_ok"] = edge_count(p) == edges and all(covers)
-    if not checks["edge_law_ok"]:
+    counted = edge_count(p)
+    checks["edge_law_ok"] = counted == edges and all(covers)
+    if counted != edges:
+        notes.append(f"edge law failed: edge_count gives {counted}, the graph has {edges} edges")
+    if not all(covers):
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
-    try:
-        part = clique_partition(p)
-        # Each edge lies in exactly one clique of each class, so the only
-        # partition into cliques of one class is that class's whole family:
-        # the parts must be, in order, a family whose cover passed above.
-        checks["partition_ok"] = len(part.parts) == clique_partition_number(p) and any(
-            ok and cliques == part.parts for (_, cliques, _), ok in zip(classes, covers)
-        )
-    except InternalConsistencyError as exc:
-        checks["partition_ok"] = False
-        notes.append(f"partition failed: {exc}")
+    parts = clique_partition(p).parts
+    # Each edge lies in exactly one clique of each class, so the only
+    # partition into cliques of one class is that class's whole family:
+    # the parts must be, in order, a family whose cover passed above.
+    checks["partition_ok"] = len(parts) == clique_partition_number(p) and any(
+        ok and cliques == parts for (_, cliques, _), ok in zip(classes, covers)
+    )
     marks.append(time.perf_counter())
 
     return VerificationReport(

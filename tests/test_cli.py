@@ -13,12 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
-import johnson_cliques.cliques as cliques_module
 import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     MAX_GROUND_SET,
     CliqueClass,
-    InternalConsistencyError,
     JohnsonParams,
     RegimeError,
     SkippedPair,
@@ -333,34 +331,6 @@ class TestStreamMemory:
         assert peak < 2
 
 
-class TestPartitionSelfCheck:
-    @pytest.mark.parametrize("n,m", [(6, 3), (5, 3)])
-    @pytest.mark.parametrize("change", ["drop_last", "repeat_last"])
-    def test_off_by_one_family_exits_3(self, monkeypatch, n, m, change):
-        real = cli._family_chunks
-
-        def off_by_one(p, kinds, sep):
-            # Drop or repeat the last line of the last chunk, which has more
-            # than one line here, so the chunks count the same.
-            *chunks, last = real(p, kinds, sep)
-            cut = last.rindex('{"class":')
-            assert cut > 0
-            last = last[: cut - len(sep)] if change == "drop_last" else last + sep + last[cut:]
-            return [*chunks, last]
-
-        monkeypatch.setattr(cli, "_family_chunks", off_by_one)
-        code, out, err = run_cli(["partition", "--n", str(n), "--m", str(m)])
-        assert code == 3
-        assert b"internal consistency" in err and b"parts" in err
-        assert not out.endswith(b"]}\n")
-
-    def test_covered_edge_count_is_checked(self, monkeypatch):
-        monkeypatch.setattr(cliques_module, "edge_count", lambda p: edge_count(p) + 1)
-        code, _, err = run_cli(["partition", "--n", "6", "--m", "3"])
-        assert code == 3
-        assert b"15 parts covering 90 edges; expected 15 parts and 91 edges" in err
-
-
 class TestClassify:
     def test_already_maximal_fixed_core(self):
         code, out, _ = run_cli(
@@ -539,6 +509,13 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--m-range", "2-4", "--n-range", "4..6"])
         assert code == 1
 
+    @pytest.mark.parametrize("m_range", ["\u0662..\u0662", "\U0001d7d0..\U0001d7d0", "2..\uff12"])
+    def test_range_of_non_ascii_digits_is_usage_error(self, m_range):
+        # int() reads Arabic-Indic, mathematical and fullwidth digits as 2.
+        code, out, err = run_cli(["verify", "--m-range", m_range, "--n-range", "3..4"])
+        assert (code, out) == (1, b"")
+        assert b"expected a range like 2..4" in err
+
     def test_reads_the_materialization_cap_at_call_time(self, monkeypatch):
         monkeypatch.delenv("JOHNSON_MAX_VERTICES", raising=False)
         monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
@@ -631,15 +608,6 @@ class TestExitCodes:
         assert (code, out) == (0, alone)
         # verify's stderr summary carries a wall time; only its shape must match.
         assert err.split(b" in ")[0] == alone_err.split(b" in ")[0]
-
-    def test_internal_consistency_maps_to_3(self, monkeypatch):
-        def boom(params, kind, parts):
-            raise InternalConsistencyError("forced")
-
-        monkeypatch.setattr(cli, "_check_partition", boom)
-        code, _, err = run_cli(["partition", "--n", "4", "--m", "2"])
-        assert code == 3
-        assert b"internal consistency" in err
 
 
 class TestModuleEntryPoint:

@@ -189,8 +189,12 @@ class TestLabelText:
     def test_single_element(self):
         assert parse_label("{5}") == (5,)
 
+    # int() reads Arabic-Indic, mathematical and fullwidth digits, but the
+    # text form takes ASCII digits only.
     @pytest.mark.parametrize(
-        "bad", ["", "{}", "{1,2", "1,2}", "{1, 2}", "{a,b}", "{1,,2}", "{1,2}x", "{0,1}"]
+        "bad",
+        ["", "{}", "{1,2", "1,2}", "{1, 2}", "{a,b}", "{1,,2}", "{1,2}x", "{0,1}",
+         "{\u0661,\u0662}", "{\U0001d7cf,\U0001d7d0}", "{1,\uff12}"],
     )
     def test_invalid_syntax_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -211,6 +215,11 @@ class TestLabelText:
             make_label([1, MAX_GROUND_SET + 1])
         with pytest.raises(ValidationError):
             parse_label("{1,100}")
+
+    def test_empty_label_has_no_text(self):
+        # parse_label() refuses "{}", so format_label() must not write it.
+        with pytest.raises(ValidationError, match="empty label"):
+            format_label(())
 
     @given(st.frozensets(st.integers(1, MAX_GROUND_SET), min_size=1, max_size=12))
     def test_canonical_text_roundtrip(self, elements):
