@@ -11,7 +11,6 @@ output ended.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -89,11 +88,11 @@ def _env_cap(default: int) -> int:
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: str) -> Iterator[str]:
+def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: bytes) -> Iterator[bytes]:
     """The bytes of ``_dumps(h.to_dict())`` for each clique h of the
     families of ``kinds``, one family after the other, each in colex order
-    of the defining sets, joined by ``sep``: as strings of whole runs and at
-    most _CHUNK_LINES lines, each one after the first led by ``sep``.
+    of the defining sets, joined by ``sep``: as byte strings of whole runs
+    and at most _CHUNK_LINES lines, each one after the first led by ``sep``.
 
     Each line is a precomputed head ``{"class":..,"set":[a`` plus the text
     of the larger elements and the fixed tail, so a run of
@@ -105,14 +104,14 @@ def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: str) -> Iter
     for kind in kinds:
         k, size = _class_shape(p, kind)
         head = f'{{"class":"{kind.value}","set":['
-        heads = [f"{head}{e}" for e in range(n + 1)]
-        elements = [f",{e}" for e in range(n + 1)]
-        tail = f'],"n":{n},"m":{p.m},"size":{size}}}'
+        heads = [f"{head}{e}".encode() for e in range(n + 1)]
+        elements = [f",{e}".encode() for e in range(n + 1)]
+        tail = f'],"n":{n},"m":{p.m},"size":{size}}}'.encode()
         for prefixes, rest in _colex_runs(n, k, heads, elements, tail):
             count = len(prefixes)
             if lines + count > _CHUNK_LINES:
                 yield sep.join(chunk)
-                chunk, lines = [""], 0
+                chunk, lines = [b""], 0
             chunk.append((rest + sep).join(prefixes) + rest)
             lines += count
     yield sep.join(chunk)
@@ -178,7 +177,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args, out: BinaryIO, tout, terr) -> int:
+def _cmd_gen(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
     cap = _env_cap(graph.DEFAULT_EXPORT_CAP)
     if not args.out:
@@ -189,23 +188,23 @@ def _cmd_gen(args, out: BinaryIO, tout, terr) -> int:
     try:
         sink = open(args.out, "wb")
     except OSError as exc:
-        terr.write(f"error: cannot open --out file: {exc}\n")
+        err.write(f"error: cannot open --out file: {exc}\n".encode())
         return 1
     with sink:
         export(params, args.format, sink, max_vertices=cap)
     return 0
 
 
-def _cmd_adj(args, out, tout, terr) -> int:
+def _cmd_adj(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
     u, v = (parse_label(text) for text in args.labels)
     validate_label(u, params.n, params.m)
     validate_label(v, params.n, params.m)
-    tout.write("true\n" if are_adjacent(u, v) else "false\n")
+    out.write(b"true\n" if are_adjacent(u, v) else b"false\n")
     return 0
 
 
-def _cmd_cliques(args, out, tout, terr) -> int:
+def _cmd_cliques(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
     if args.clique_class != "all":
         kinds = [CliqueClass(args.clique_class)]
@@ -216,9 +215,9 @@ def _cmd_cliques(args, out, tout, terr) -> int:
     else:
         kinds = [CliqueClass.MIN, CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    for text in _family_chunks(params, kinds, "\n"):
-        tout.write(text)
-    tout.write("\n")
+    for chunk in _family_chunks(params, kinds, b"\n"):
+        out.write(chunk)
+    out.write(b"\n")
     return 0
 
 
@@ -227,7 +226,7 @@ def _parse_clique(args) -> Clique:
     return Clique.from_labels((parse_label(text) for text in args.labels), params)
 
 
-def _cmd_classify(args, out, tout, terr) -> int:
+def _cmd_classify(args, out, err) -> int:
     result = classify(_parse_clique(args))
     if result.kind is ClassificationKind.SINGLETON:
         payload = {"kind": result.kind.value}
@@ -236,26 +235,26 @@ def _cmd_classify(args, out, tout, terr) -> int:
         payload = {"kind": result.kind.value, "min": h_min.to_dict(), "max": h_max.to_dict()}
     else:
         payload = {**result.extensions[0].to_dict(), "kind": result.kind.value}
-    tout.write(_dumps(payload) + "\n")
+    out.write(_dumps(payload).encode() + b"\n")
     return 0
 
 
-def _cmd_extend(args, out, tout, terr) -> int:
+def _cmd_extend(args, out, err) -> int:
     extensions = extend_to_maximal(_parse_clique(args))
-    tout.write(_dumps([h.to_dict() for h in extensions]) + "\n")
+    out.write(_dumps([h.to_dict() for h in extensions]).encode() + b"\n")
     return 0
 
 
-def _cmd_partition(args, out, tout, terr) -> int:
+def _cmd_partition(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
-    tout.write(f'{{"cp":{clique_partition_number(params)},"parts":[')
-    for text in _family_chunks(params, [_partition_class(params)], ","):
-        tout.write(text)
-    tout.write("]}\n")
+    out.write(f'{{"cp":{clique_partition_number(params)},"parts":['.encode())
+    for chunk in _family_chunks(params, [_partition_class(params)], b","):
+        out.write(chunk)
+    out.write(b"]}\n")
     return 0
 
 
-def _cmd_number(args, out, tout, terr) -> int:
+def _cmd_number(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
     payload = {
         "n": params.n,
@@ -264,11 +263,11 @@ def _cmd_number(args, out, tout, terr) -> int:
         "clique_partition_number": clique_partition_number(params),
         "degenerate": params.degenerate,
     }
-    tout.write(_dumps(payload) + "\n")
+    out.write(_dumps(payload).encode() + b"\n")
     return 0
 
 
-def _cmd_verify(args, out, tout, terr) -> int:
+def _cmd_verify(args, out, err) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cap = _env_cap(oracle.DEFAULT_MATERIALIZE_CAP)
@@ -276,7 +275,7 @@ def _cmd_verify(args, out, tout, terr) -> int:
     total = passed = skipped = 0
     summed = 0.0
     for result in verify_range(args.m_range, args.n_range, jobs=args.jobs, max_vertices=cap):
-        tout.write(_dumps(result.to_dict()) + "\n")
+        out.write(_dumps(result.to_dict()).encode() + b"\n")
         total += 1
         if isinstance(result, SkippedPair):
             skipped += 1
@@ -285,9 +284,9 @@ def _cmd_verify(args, out, tout, terr) -> int:
         summed += result.elapsed_seconds
         if args.timings:
             seconds = {phase: round(s, 6) for phase, s in result.phase_seconds.items()}
-            terr.write(
+            err.write(
                 _dumps({"n": result.params.n, "m": result.params.m, "seconds": seconds,
-                        "counters": result.counters}) + "\n"
+                        "counters": result.counters}).encode() + b"\n"
             )
     wall = time.perf_counter() - start
     if not total:
@@ -295,11 +294,10 @@ def _cmd_verify(args, out, tout, terr) -> int:
             f"--m-range and --n-range yield no valid (n, m) pair "
             f"(need m >= 2 and m+1 <= n <= {MAX_GROUND_SET})"
         )
-    terr.write(
+    note = f"; {skipped} skipped over the materialization cap {cap}" if skipped else ""
+    err.write(
         f"{passed}/{total} pairs passed in {wall:.2f}s wall time "
-        f"({summed:.2f}s summed over pairs)"
-        + (f"; {skipped} skipped over the materialization cap {cap}" if skipped else "")
-        + "\n"
+        f"({summed:.2f}s summed over pairs){note}\n".encode()
     )
     if passed + skipped < total:
         return 3
@@ -307,27 +305,25 @@ def _cmd_verify(args, out, tout, terr) -> int:
 
 
 def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
-    """Parse ``argv`` and run one subcommand, writing to the given byte streams."""
-    tout = io.TextIOWrapper(out, encoding="utf-8", newline="\n", write_through=True)
-    terr = io.TextIOWrapper(err, encoding="utf-8", newline="\n", write_through=True)
+    """Parse ``argv`` and run one subcommand, writing UTF-8 bytes to the byte
+    streams ``out`` and ``err``, which it flushes before it returns and never closes."""
     try:
-        try:
-            args = build_parser().parse_args(argv)
-            return args.func(args, out, tout, terr)
-        except _UsageError as exc:
-            terr.write(f"usage error: {exc}\n")
-            return 1
-        except _Help as exc:
-            tout.write(exc.args[0])
-            return 0
-        except ValidationError as exc:
-            terr.write(f"error: {exc}\n")
-            return 2
+        args = build_parser().parse_args(argv)
+        return args.func(args, out, err)
+    except _UsageError as exc:
+        err.write(f"usage error: {exc}\n".encode())
+        return 1
+    except _Help as exc:
+        out.write(exc.args[0].encode())
+        return 0
+    except ValidationError as exc:
+        err.write(f"error: {exc}\n".encode())
+        return 2
     finally:
-        tout.flush()
-        terr.flush()
-        tout.detach()
-        terr.detach()
+        # A buffered stdout whose reader has gone fails here, inside main's
+        # BrokenPipeError handler, not in the flush at interpreter exit.
+        out.flush()
+        err.flush()
 
 
 def main() -> None:

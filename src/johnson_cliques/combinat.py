@@ -63,12 +63,14 @@ def make_label(elements: Iterable[int]) -> Label:
 
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
-    """Check that ``label`` is a tuple, strictly increasing with int elements
+    """Check that ``label`` is a non-empty tuple of strictly increasing ints
     in 1..n (and of size ``m`` when given); raise ValidationError otherwise."""
     if type(n) is not int:
         raise ValidationError(f"n must be an int, got {n!r}")
     if not isinstance(label, tuple):
         raise ValidationError(f"label {label!r} is not a tuple")
+    if not label:
+        raise ValidationError("the empty label is refused; a label needs an element")
     prev = 0
     for e in label:
         if type(e) is not int or e <= prev:
@@ -92,11 +94,8 @@ def parse_label(text: str) -> Label:
 
 def format_label(label: Label) -> str:
     """Render a label in the canonical ``{a,b,c}`` form; ValidationError for
-    a label that validate_label() refuses and for the empty label, which
-    parse_label() would not read back."""
+    a label that validate_label() refuses."""
     validate_label(label, MAX_GROUND_SET)
-    if not label:
-        raise ValidationError("the empty label has no text form; a label needs an element")
     return "{" + ",".join(str(e) for e in label) + "}"
 
 
@@ -116,7 +115,8 @@ def rank(label: Label, n: int) -> int:
 
 def unrank(r: int, n: int, m: int) -> Label:
     """The m-subset of {1..n} with colex rank ``r`` (inverse of rank). The
-    one binomial(n, m) call checks n and m, so the scan needs no checks."""
+    one binomial(n, m) call checks n and m, so the scan needs no checks.
+    For m = 0 it is the empty subset, which is not a label."""
     total = binomial(n, m)
     if type(r) is not int:
         raise ValidationError(f"rank must be an int, got {r!r}")
@@ -139,7 +139,8 @@ def unrank(r: int, n: int, m: int) -> Label:
 def iter_subsets_colex(n: int, k: int) -> Iterator[Label]:
     """All k-subsets of {1..n} in colex order, as tuples from the runs of
     _colex_runs(). At the first item, binomial(n, k) checks n and k, as in
-    unrank(); it is 0, and the stream empty, when k > n."""
+    unrank(); it is 0, and the stream empty, when k > n. For k = 0 the one
+    item is the empty subset, which is not a label."""
     if not binomial(n, k):
         return
     if k == 0:

@@ -228,12 +228,12 @@ class TestFamilyLines:
         head = f'{{"class":"{kind.value}","set":['
         tail = f'],"n":{n},"m":{m},"size":{size}}}'
         expected = [head + ",".join(map(str, s)) + tail for s in colex_subsets(n, k)]
-        chunks = cli._family_chunks(JohnsonParams(n, m), [kind], "\n")
-        assert "".join(chunks) == "\n".join(expected)
+        chunks = cli._family_chunks(JohnsonParams(n, m), [kind], b"\n")
+        assert b"".join(chunks) == "\n".join(expected).encode()
 
     def test_class_max_is_refused_in_the_degenerate_regime(self):
         with pytest.raises(RegimeError, match="complete"):
-            next(cli._family_chunks(JohnsonParams(5, 4), [CliqueClass.MAX], "\n"))
+            next(cli._family_chunks(JohnsonParams(5, 4), [CliqueClass.MAX], b"\n"))
 
 
 class _Discard(io.RawIOBase):
@@ -571,12 +571,43 @@ class TestExitCodes:
         assert run_cli(["number", "--n", "4", "--m", "1"])[0] == 2
         assert run_cli(["number", "--n", "2", "--m", "2"])[0] == 2
 
-    def test_help_goes_to_out(self, capsys):
+    def test_help_goes_to_out(self, capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(["verify", "--help"])
         assert code == 0
         assert out.startswith(b"usage: johnson-cliques verify")
         assert err == b""
         assert capsys.readouterr() == ("", "")
+        # Every exit path writes only to the streams run() is given, and
+        # leaves them open.
+        real = verify(JohnsonParams(4, 2))
+        failing = dataclasses.replace(real, checks={**real.checks, "sets_equal": False})
+        cases = [
+            (0, ["gen", "--n", "4", "--m", "2", "--format", "dot"], None),
+            (0, ["adj", "--n", "5", "--m", "3", "{1,2,3}", "{1,2,4}"], None),
+            (0, ["cliques", "--n", "5", "--m", "3"], None),
+            (0, ["classify", "--n", "5", "--m", "3", "{1,2,3}", "{1,2,4}"], None),
+            (0, ["extend", "--n", "5", "--m", "3", "{1,2,3}", "{1,2,4}"], None),
+            (0, ["partition", "--n", "5", "--m", "3"], None),
+            (0, ["number", "--n", "5", "--m", "3"], None),
+            (0, ["verify", "--m-range", "2..2", "--n-range", "4..4"], None),
+            (1, ["number", "--n", "five", "--m", "3"], None),
+            (1, ["gen", "--n", "4", "--m", "2", "--format", "dot",
+                 "--out", str(tmp_path / "missing" / "j.dot")], None),
+            (2, ["adj", "--n", "5", "--m", "3", "{1,2}", "{1,3,4}"], None),
+            (2, ["gen", "--n", "6", "--m", "3", "--format", "dot"],
+             lambda mp: mp.setenv("JOHNSON_MAX_VERTICES", "5")),
+            (3, ["verify", "--m-range", "2..2", "--n-range", "4..4"],
+             lambda mp: mp.setattr(cli, "verify_range", lambda *a, **k: [failing])),
+        ]
+        for code, argv, patch in cases:
+            with monkeypatch.context() as mp:
+                if patch:
+                    patch(mp)
+                out, err = io.BytesIO(), io.BytesIO()
+                assert cli.run(argv, out, err) == code, argv
+            assert out.getvalue() or err.getvalue(), argv
+            assert not out.closed and not err.closed, argv
+            assert capsys.readouterr() == ("", ""), argv
 
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
     def test_help_bytes_ignore_columns(self, monkeypatch, argv):
@@ -608,6 +639,15 @@ class TestExitCodes:
         assert (code, out) == (0, alone)
         # verify's stderr summary carries a wall time; only its shape must match.
         assert err.split(b" in ")[0] == alone_err.split(b" in ")[0]
+
+
+def _buffered_env():
+    """The environment for a child ``python -m johnson_cliques`` that imports
+    this tree, with the buffered stdout users get (no PYTHONUNBUFFERED)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return env
 
 
 class TestModuleEntryPoint:
@@ -649,13 +689,11 @@ class TestModuleEntryPoint:
     def test_reader_closing_stdout_exits_141_without_traceback(self, argv):
         # Both outputs are far larger than a pipe buffer, so the writer is
         # still writing when the reader goes away, as under ``| head -1``.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.Popen(
             [sys.executable, "-m", "johnson_cliques", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_buffered_env(),
         )
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -663,6 +701,24 @@ class TestModuleEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""  # no traceback
+
+    @pytest.mark.parametrize(
+        "argv", [["number", "--n", "5", "--m", "3"], ["cliques", "--n", "6", "--m", "3"]]
+    )
+    def test_small_output_into_a_closed_pipe_exits_141(self, argv):
+        # The whole output fits in stdout's buffer, so the write fails only
+        # when run() flushes it; left to the flush at interpreter exit, it
+        # would print "Exception ignored" and exit 120.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "johnson_cliques", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=_buffered_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_importing_the_cli_loads_no_process_pool(self):
         # Only verify --jobs K with K > 1 needs multiprocessing, which pulls
@@ -716,6 +772,13 @@ GOLDEN_CASES = [
     ("j_5_3.partition.json", ["partition", "--n", "5", "--m", "3"]),
     ("j_6_3.partition.json", ["partition", "--n", "6", "--m", "3"]),
     ("j_4_3.partition.json", ["partition", "--n", "4", "--m", "3"]),
+    # The --help bytes follow argparse's layout, recorded under Python 3.11;
+    # the top-level description is the cli module docstring.
+    ("help_top.txt", ["--help"]),
+    *(
+        (f"help_{command}.txt", [command, "--help"])
+        for command in ("gen", "adj", "cliques", "classify", "extend", "partition", "number", "verify")
+    ),
 ]
 
 

@@ -160,16 +160,16 @@ class TestSetAlgebra:
         assert intersection_of([(1, 2), (3, 4)]) == ()
 
     @given(
-        st.frozensets(st.integers(1, 40), max_size=10),
-        st.frozensets(st.integers(1, 40), max_size=10),
+        st.frozensets(st.integers(1, 40), min_size=1, max_size=10),
+        st.frozensets(st.integers(1, 40), min_size=1, max_size=10),
     )
     def test_inclusion_exclusion(self, a, b):
         la, lb = make_label(a), make_label(b)
         assert len(intersection_of([la, lb])) + len(union_of([la, lb])) == len(la) + len(lb)
 
     @given(
-        st.frozensets(st.integers(1, 40), max_size=10),
-        st.frozensets(st.integers(1, 40), max_size=10),
+        st.frozensets(st.integers(1, 40), min_size=1, max_size=10),
+        st.frozensets(st.integers(1, 40), min_size=1, max_size=10),
     )
     def test_outputs_sorted_and_match_set_semantics(self, a, b):
         la, lb = make_label(a), make_label(b)
@@ -220,6 +220,22 @@ class TestLabelText:
         # parse_label() refuses "{}", so format_label() must not write it.
         with pytest.raises(ValidationError, match="empty label"):
             format_label(())
+
+    # parse_label() refuses "{}", so no entry point takes the empty label;
+    # each of these returned a value while validate_label() let () through.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: make_label([]),
+            lambda: rank((), 5),
+            lambda: are_adjacent((), ()),
+            lambda: validate_label((), 5),
+        ],
+        ids=["make_label", "rank", "are_adjacent", "validate_label"],
+    )
+    def test_empty_label_is_refused(self, call):
+        with pytest.raises(ValidationError, match="empty label"):
+            call()
 
     @given(st.frozensets(st.integers(1, MAX_GROUND_SET), min_size=1, max_size=12))
     def test_canonical_text_roundtrip(self, elements):

@@ -1,17 +1,21 @@
 """The README's library quick start and command-line examples print what
 they show."""
 
+import ast
 import contextlib
 import io
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import johnson_cliques
 from johnson_cliques.cli import run
 
 README = Path(__file__).parent.parent / "README.md"
+PACKAGE = Path(johnson_cliques.__file__).parent
 
 
 def quick_start() -> str:
@@ -67,3 +71,16 @@ def test_cli_example_prints_what_is_shown(command, shown):
     assert len(lines) == len(shown), (lines, shown)
     for line, expected in zip(lines, shown):
         assert re.fullmatch(".*".join(map(re.escape, expected.split("..."))), line), (line, expected)
+
+
+def test_runtime_is_pure_standard_library():
+    """Every absolute import in the package names a standard-library module."""
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"argparse", "math"} <= imported
+    assert imported <= sys.stdlib_module_names, sorted(imported - sys.stdlib_module_names)
