@@ -215,8 +215,7 @@ def _cmd_cliques(args, out, err) -> int:
     else:
         kinds = [CliqueClass.MIN, CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    for chunk in _family_chunks(params, kinds, b"\n"):
-        out.write(chunk)
+    out.writelines(_family_chunks(params, kinds, b"\n"))
     out.write(b"\n")
     return 0
 
@@ -248,8 +247,7 @@ def _cmd_extend(args, out, err) -> int:
 def _cmd_partition(args, out, err) -> int:
     params = JohnsonParams(args.n, args.m)
     out.write(f'{{"cp":{clique_partition_number(params)},"parts":['.encode())
-    for chunk in _family_chunks(params, [_partition_class(params)], b","):
-        out.write(chunk)
+    out.writelines(_family_chunks(params, [_partition_class(params)], b","))
     out.write(b"]}\n")
     return 0
 
@@ -311,13 +309,13 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args, out, err)
     except _UsageError as exc:
-        err.write(f"usage error: {exc}\n".encode())
+        err.write(f"usage error: {exc}\n".encode(errors="backslashreplace"))
         return 1
     except _Help as exc:
         out.write(exc.args[0].encode())
         return 0
     except ValidationError as exc:
-        err.write(f"error: {exc}\n".encode())
+        err.write(f"error: {exc}\n".encode(errors="backslashreplace"))
         return 2
     finally:
         # A buffered stdout whose reader has gone fails here, inside main's

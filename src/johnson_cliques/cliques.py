@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 
 from .combinat import (
     Label,
+    _insertions,
     _sorted_label,
     binomial,
     colex_key,
@@ -88,15 +89,8 @@ class MaximalClique:
             # combinations() over the sorted B is already colex: both orders
             # go by the omitted element, largest first.
             return tuple(combinations(self.defining_set, self.params.m))
-        # The core plus each outside y, ascending: the y between core[k-1]
-        # and core[k] go in at index k, as in graph.neighbors().
-        core = self.defining_set
-        bounds = (0, *core, self.params.n + 1)
-        out: list[Label] = []
-        for k in range(len(core) + 1):
-            head, tail = core[:k], core[k:]
-            out += [head + (y,) + tail for y in range(bounds[k] + 1, bounds[k + 1])]
-        return tuple(out)
+        gaps = _insertions(self.defining_set, self.params.n)
+        return tuple([head + (y,) + tail for _, head, tail, ys in gaps for y in ys])
 
     def to_dict(self) -> dict:
         return {

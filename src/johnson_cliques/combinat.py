@@ -8,7 +8,8 @@ in O(m) binomial evaluations with no precomputed tables.
 Colex order runs over the least elements fastest. _colex_runs() holds the
 one colex successor rule and yields whole runs of least elements, one slice
 of a prefix table each; iter_subsets_colex() and the bulk streams take their
-sets from it.
+sets from it. _insertions() adds each outside element to a label, the one
+rule behind graph.neighbors() and the class-max members.
 """
 
 from __future__ import annotations
@@ -97,6 +98,18 @@ def format_label(label: Label) -> str:
     a label that validate_label() refuses."""
     validate_label(label, MAX_GROUND_SET)
     return "{" + ",".join(str(e) for e in label) + "}"
+
+
+def _insertions(label: Label, n: int) -> list[tuple[int, Label, Label, range]]:
+    """``(k, label[:k], label[k:], ys)`` for each gap of the sorted ``label``
+    in 1..n: each y in ys goes in at index k, and the sets so made, y
+    ascending, run in colex order. Unchecked."""
+    bounds = (0, *label, n + 1)
+    gaps = []
+    for k in range(len(label) + 1):
+        if ys := range(bounds[k] + 1, bounds[k + 1]):
+            gaps.append((k, label[:k], label[k:], ys))
+    return gaps
 
 
 #: Sort key realizing colexicographic order on sorted labels: the label

@@ -27,6 +27,7 @@ from .combinat import (
     Label,
     binomial,
     _colex_runs,
+    _insertions,
     colex_key,
     validate_label,
 )
@@ -111,24 +112,20 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
 
     Each edge {u, v} lies in one class-min clique, the m-subsets of u | v,
     so the neighbours are the rows of combinations(u | {y}, m) but ``u``, for
-    each y outside ``u``, ascending. The rows drop the largest element first,
-    so they run in colex order (the numeric order of the bit masks): the rows
-    before ``u`` are transposed to x descending, then y ascending (x the
-    element dropped), and the rows after it follow as they are. No sort runs.
+    each y outside ``u``, ascending, from combinat._insertions(). The rows
+    drop the largest element first, so they run in colex order (the bit masks'
+    order): the rows before ``u`` are transposed to x descending, then y
+    ascending (x the element dropped), and the rows after it follow. No sort.
     """
     _check_params(p)
     validate_label(u, p.n, p.m)
-    m = len(u)
-    bounds = (0, *u, p.n + 1)
-    lows, highs = [], []
-    for k in range(m + 1):
-        # The y between u[k-1] and u[k] go in at index k.
-        if ys := range(bounds[k] + 1, bounds[k + 1]):
-            head, tail = u[:k], u[k:]
-            for y in ys:
-                rows = list(combinations(head + (y,) + tail, m))
-                lows.append(rows[: m - k])
-                highs += rows[m - k + 1 :]
+    m, lows, highs = len(u), [], []
+    for k, head, tail, ys in _insertions(u, p.n):
+        cut = m - k
+        for y in ys:
+            rows = list(combinations(head + (y,) + tail, m))
+            lows.append(rows[:cut])
+            highs += rows[cut + 1 :]
     # The runs before u shorten as y grows: zip_longest pads only their ends.
     return [*filter(None, chain.from_iterable(zip_longest(*lows))), *highs]
 

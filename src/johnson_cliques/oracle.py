@@ -170,8 +170,6 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     vertex can extend one; the rule is exact on any graph. A branch left
     with no candidates is settled in its parent, and counted as the call it
     would have been."""
-    if g.vertex_count == 0:
-        return [], 0
     rows = g.rows
     # Each loop peels its top vertex with one new int, bits[i], not the two
     # that peeling the low bit (x & -x, then x ^ low) makes.
@@ -180,7 +178,7 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     calls = 0
 
     def expand(base: int, cand: int, excl: int) -> None:
-        # Entered only with candidates left.
+        # cand is empty only at an empty graph's root; the peel's else returns 0 calls.
         nonlocal calls
         # Peel the candidates one clique at a time from the top: the top
         # vertex's comp is itself and its candidate neighbours, and every
@@ -297,26 +295,25 @@ class SkippedPair:
         return {"n": self.params.n, "m": self.params.m, "skipped": self.reason}
 
 
-def _covers_each_edge_once(masks: Iterable[int], rows: tuple[int, ...]) -> bool:
-    """Whether the cliques with these vertex masks cover every edge of the
-    graph with adjacency ``rows`` exactly once, and no non-edge pair.
+def _covers_each_edge_once(masks: Iterable[int], g: DenseGraph) -> bool:
+    """Whether the cliques with these vertex masks cover every edge of ``g``
+    exactly once, and no non-edge pair.
 
     Each member's cover row ORs in its cliques; with the diagonal cleared,
-    the rows must equal ``rows``, so every pair covered is an edge and every
+    the rows must equal g's rows, so every pair covered is an edge and every
     edge is covered. The cliques count C(size, 2) pairs between them, each
     covered pair at least once; a total of exactly the edge count leaves no
     pair counted twice.
     """
-    cover = [0] * len(rows)
+    cover = [0] * g.vertex_count
     pairs = 0
     for mask in masks:
         size = mask.bit_count()
         pairs += size * (size - 1) // 2
         for i in _mask_vertices(mask):
             cover[i] |= mask
-    edges = sum(row.bit_count() for row in rows) // 2
-    return pairs == edges and all(
-        c & ~(1 << i) == row for i, (c, row) in enumerate(zip(cover, rows))
+    return pairs == g.edge_total() and all(
+        c & ~(1 << i) == row for i, (c, row) in enumerate(zip(cover, g.rows))
     )
 
 
@@ -384,7 +381,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     marks.append(time.perf_counter())
 
     edges = g.edge_total()
-    covers = [_covers_each_edge_once(family, g.rows) for family in masks]
+    covers = [_covers_each_edge_once(family, g) for family in masks]
     counted = edge_count(p)
     checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:

@@ -609,6 +609,13 @@ class TestExitCodes:
             assert not out.closed and not err.closed, argv
             assert capsys.readouterr() == ("", ""), argv
 
+    def test_argument_that_is_not_utf8_is_a_one_line_usage_error(self):
+        # A byte that is not UTF-8 reaches argv as a lone surrogate, which
+        # stderr gets escaped, as Python's own stderr writes it.
+        assert run_cli(["number", "--n", "5", "--m", "3", "\udcff"]) == (
+            1, b"", b"usage error: unrecognized arguments: \\udcff\n"
+        )
+
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
     def test_help_bytes_ignore_columns(self, monkeypatch, argv):
         # The text wraps at a fixed width, not at $COLUMNS or the terminal's.
@@ -719,6 +726,15 @@ class TestModuleEntryPoint:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_argument_that_is_not_utf8_gets_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "johnson_cliques", "number", "--n", "5", "--m", "3", b"\xff"],
+            capture_output=True, env=_buffered_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert len(proc.stderr.splitlines()) == 1
+        assert b"Traceback" not in proc.stderr
 
     def test_importing_the_cli_loads_no_process_pool(self):
         # Only verify --jobs K with K > 1 needs multiprocessing, which pulls

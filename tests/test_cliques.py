@@ -122,6 +122,12 @@ class TestCliqueType:
         with pytest.raises(ValidationError):
             Clique.from_labels([(1, 2, 3)], J42)
 
+    def test_no_member_rejected(self):
+        with pytest.raises(ValidationError, match="a clique needs at least one member"):
+            Clique(J42, ())
+        with pytest.raises(ValidationError, match="a clique needs at least one member"):
+            Clique.from_labels([], J42)
+
 
 class TestMaximalCliqueType:
     def test_members_of_min(self):

@@ -63,6 +63,10 @@ class TestDenseGraph:
         with pytest.raises(ValidationError):
             DenseGraph(2, (0b100, 0b000))
 
+    def test_row_count_must_match_vertex_count(self):
+        with pytest.raises(ValidationError, match="expected 3 adjacency rows, got 2"):
+            DenseGraph(3, (0, 0))
+
     @pytest.mark.parametrize(
         "vertex_count,rows",
         [(2, [0, 0]), (True, (0,)), (1.0, (0,)), (1, (False,)), (2, (0, 1.0)), (1, ("0",))],
@@ -243,31 +247,31 @@ OCTAHEDRON_PARTITION = [0b000111, 0b011001, 0b101010, 0b110100]
 
 class TestCoversEachEdgeOnce:
     def test_exact_covers_pass(self):
-        assert oracle._covers_each_edge_once([0b111], TRIANGLE.rows)
-        assert oracle._covers_each_edge_once([0b011, 0b101, 0b110], TRIANGLE.rows)
-        assert oracle._covers_each_edge_once(OCTAHEDRON_PARTITION, OCTAHEDRON.rows)
+        assert oracle._covers_each_edge_once([0b111], TRIANGLE)
+        assert oracle._covers_each_edge_once([0b011, 0b101, 0b110], TRIANGLE)
+        assert oracle._covers_each_edge_once(OCTAHEDRON_PARTITION, OCTAHEDRON)
         edge_pairs = [(1 << i) | (1 << j) for i, j in combinations(range(6), 2) if i + j != 5]
-        assert oracle._covers_each_edge_once(edge_pairs, OCTAHEDRON.rows)
+        assert oracle._covers_each_edge_once(edge_pairs, OCTAHEDRON)
 
     def test_missing_edge_fails(self):
-        assert not oracle._covers_each_edge_once([0b011, 0b101], TRIANGLE.rows)
-        assert not oracle._covers_each_edge_once(OCTAHEDRON_PARTITION[1:], OCTAHEDRON.rows)
+        assert not oracle._covers_each_edge_once([0b011, 0b101], TRIANGLE)
+        assert not oracle._covers_each_edge_once(OCTAHEDRON_PARTITION[1:], OCTAHEDRON)
 
     def test_edge_covered_twice_fails(self):
-        assert not oracle._covers_each_edge_once([0b111, 0b011], TRIANGLE.rows)
+        assert not oracle._covers_each_edge_once([0b111, 0b011], TRIANGLE)
         twice = OCTAHEDRON_PARTITION + [0b000011]
-        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON.rows)
+        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON)
 
     def test_non_edge_pair_fails(self):
         non_edge = OCTAHEDRON_PARTITION + [0b100001]
-        assert not oracle._covers_each_edge_once(non_edge, OCTAHEDRON.rows)
+        assert not oracle._covers_each_edge_once(non_edge, OCTAHEDRON)
 
     def test_right_pair_count_with_an_edge_uncovered_fails(self):
         # One clique twice in place of another: the cliques still count
         # exactly |E| pairs, but one pair twice and some edge not at all.
-        assert not oracle._covers_each_edge_once([0b011, 0b011, 0b101], TRIANGLE.rows)
+        assert not oracle._covers_each_edge_once([0b011, 0b011, 0b101], TRIANGLE)
         twice = OCTAHEDRON_PARTITION[1:] + OCTAHEDRON_PARTITION[1:2]
-        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON.rows)
+        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON)
 
 
 class TestMaximalCliques:
