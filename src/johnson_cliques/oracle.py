@@ -1,8 +1,10 @@
 """Brute-force ground truth for the closed-form results.
 
 Materializes J_n(m, m-1) as an explicit dense graph, enumerates all maximal
-cliques with pivoted Bron-Kerbosch, and compares what it finds against the
-closed-form enumerations, clique number, and edge partition. The clique
+cliques with Bron-Kerbosch, pivoting on a candidate, and compares what it
+finds against the closed-form enumerations, clique number, and edge
+partition. Each clique, found or closed-form, is held as its sorted tuple of
+vertex indices, and the two are compared as sets of those tuples. The clique
 search knows nothing about Johnson structure; it only sees adjacency bits.
 A search node whose candidates split into cliques with no edge between them
 reports each one that no excluded vertex extends, and branches no further;
@@ -15,7 +17,7 @@ sorted by the reversed tuple, colex order by its definition, so it shares no
 colex stepper with the streams and enumerations it checks. The edge law
 compares edge_count() with the graph's own edge total and covers that graph
 with each family; the partition passes only when its parts are, in order, a
-family whose cover passed, so no part is mapped to bits a second time.
+family whose cover passed, so no part is mapped to vertices a second time.
 """
 
 from __future__ import annotations
@@ -66,27 +68,28 @@ class DenseGraph:
                                   f"got {nv!r} and a {type(rows).__name__}")
         if len(rows) != nv:
             raise ValidationError(f"expected {nv} adjacency rows, got {len(rows)}")
-        bits = later = 0
+        bits = [1 << i for i in range(nv)]
+        total = later = 0
         for i, row in enumerate(rows):
-            bit_i = 1 << i
+            bit_i = bits[i]
             if type(row) is not int:
                 raise ValidationError(f"row {i} is not an int: {row!r}")
             if row >> nv:
                 raise ValidationError(f"row {i} has bits beyond vertex {nv - 1}")
             if row & bit_i:
                 raise ValidationError(f"self-loop at vertex {i}")
-            bits += row.bit_count()
+            total += row.bit_count()
             rest = row & -(bit_i << 1)
             later += rest.bit_count()
-            for j in _mask_vertices(rest):
+            for j in _mask_vertices(rest, bits):
                 if not rows[j] & bit_i:
                     raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
-        if bits != 2 * later:
+        if total != 2 * later:
             # Mirroring maps the later bits, all mirrored, one to one into
             # the earlier bits; there are more of those, so one has no mirror.
             for i, row in enumerate(rows):
-                bit_i = 1 << i
-                for j in _mask_vertices(row & (bit_i - 1)):
+                bit_i = bits[i]
+                for j in _mask_vertices(row & (bit_i - 1), bits):
                     if not rows[j] & bit_i:
                         raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
 
@@ -137,14 +140,15 @@ def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
     return labels, DenseGraph(len(labels), tuple(rows))
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending. Peels the top bit, which makes
-    one new int per bit where peeling the low bit makes two."""
+def _mask_vertices(mask: int, bits: list[int]) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending; ``bits[i]`` is ``1 << i``. Peels
+    the top bit, which makes one new int per bit where peeling the low bit
+    makes two."""
     out = []
     while mask:
         i = mask.bit_length() - 1
         out.append(i)
-        mask ^= 1 << i
+        mask ^= bits[i]
     out.reverse()
     return tuple(out)
 
@@ -155,13 +159,16 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
     if ``g`` is not a DenseGraph."""
     if not isinstance(g, DenseGraph):
         raise ValidationError(f"expected a DenseGraph, got {g!r}")
-    return sorted(map(_mask_vertices, _bron_kerbosch(g)[0]))
+    return sorted(_bron_kerbosch(g, [1 << i for i in range(g.vertex_count)])[0])
 
 
-def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
-    """The vertex masks of the maximal cliques of ``g``, in the order found,
-    and the number of nodes of the search tree. Each call branches from its
-    highest vertex down. A call whose candidates split into k >= 1 cliques
+def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """The maximal cliques of ``g`` as ascending vertex tuples, in the order
+    found, and the number of nodes of the search tree; ``bits[i]`` is
+    ``1 << i``. The search holds each clique as a vertex mask and decodes
+    each once, at the end. Each call pivots on the candidate with the most
+    candidate neighbours, and branches on the others from its highest vertex
+    down. A call whose candidates split into k >= 1 cliques
     with no edge between them settles them all and branches no further: it
     reports its base plus each of those cliques that no excluded vertex is
     adjacent to in full, and counts as k leaves. The candidates and excluded
@@ -171,10 +178,9 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
     with no candidates is settled in its parent, and counted as the call it
     would have been."""
     rows = g.rows
-    # Each loop peels its top vertex with one new int, bits[i], not the two
-    # that peeling the low bit (x & -x, then x ^ low) makes.
-    bits = [1 << i for i in range(g.vertex_count)]
-    found: list[int] = []
+    # Each loop peels its top vertex with one new int, bits[i] being reused,
+    # not the two that peeling the low bit (x & -x, then x ^ low) makes.
+    found: list = []  # masks while the search runs, vertex tuples after it
     calls = 0
 
     def expand(base: int, cand: int, excl: int) -> None:
@@ -210,10 +216,12 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
             calls += leaves
             return
         calls += 1
-        # Tomita, Tanaka & Takahashi (2006): pivot on the vertex of P | X
-        # with the most neighbours in P, so the fewest branches remain.
+        # Tomita, Tanaka & Takahashi (2006) pivot on the vertex of P | X with
+        # the most neighbours in P, so the fewest branches remain. This pivot
+        # comes from P alone: any pivot keeps the search exact, about half of
+        # P | X is X on the Johnson graphs, and the tree grows by under 1 %.
         best = -1
-        rest = cand | excl
+        rest = cand
         while rest:
             i = rest.bit_length() - 1
             rest ^= bits[i]
@@ -238,6 +246,9 @@ def _bron_kerbosch(g: DenseGraph) -> tuple[list[int], int]:
             excl |= bit
 
     expand(0, (1 << g.vertex_count) - 1, 0)
+    # Decoded in place, so each mask is freed as its tuple takes its slot.
+    for k, mask in enumerate(found):
+        found[k] = _mask_vertices(mask, bits)
     return found, calls
 
 
@@ -295,25 +306,32 @@ class SkippedPair:
         return {"n": self.params.n, "m": self.params.m, "skipped": self.reason}
 
 
-def _covers_each_edge_once(masks: Iterable[int], g: DenseGraph) -> bool:
-    """Whether the cliques with these vertex masks cover every edge of ``g``
-    exactly once, and no non-edge pair.
+def _covers_each_edge_once(
+    cliques: Iterable[tuple[int, ...]], g: DenseGraph, bits: list[int]
+) -> bool:
+    """Whether these cliques, each a tuple of vertex indices of ``g``, cover
+    every edge of ``g`` exactly once, and no non-edge pair; ``bits[i]`` is
+    ``1 << i``.
 
-    Each member's cover row ORs in its cliques; with the diagonal cleared,
-    the rows must equal g's rows, so every pair covered is an edge and every
-    edge is covered. The cliques count C(size, 2) pairs between them, each
-    covered pair at least once; a total of exactly the edge count leaves no
-    pair counted twice.
+    Each member's cover row ORs in its clique's mask, itself an OR, so a
+    member listed twice sets its bit once; with the diagonal cleared, the
+    rows must equal g's rows, so every pair covered is an edge and every
+    edge is covered. A clique of s listed members counts C(s, 2) pairs,
+    each covered pair at least once and a member listed twice more than
+    that; a total of exactly the edge count leaves no pair counted twice.
     """
     cover = [0] * g.vertex_count
     pairs = 0
-    for mask in masks:
-        size = mask.bit_count()
-        pairs += size * (size - 1) // 2
-        for i in _mask_vertices(mask):
+    for members in cliques:
+        mask = 0
+        for i in members:
+            mask |= bits[i]
+        for i in members:
             cover[i] |= mask
+        size = len(members)
+        pairs += size * (size - 1) // 2
     return pairs == g.edge_total() and all(
-        c & ~(1 << i) == row for i, (c, row) in enumerate(zip(cover, g.rows))
+        c & ~bit == row for c, bit, row in zip(cover, bits, g.rows)
     )
 
 
@@ -326,16 +344,17 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     notes: list[str] = []
     n, m = p.n, p.m
 
-    oracle, expand_calls = _bron_kerbosch(g)
+    bits = [1 << i for i in range(g.vertex_count)]
+    oracle, expand_calls = _bron_kerbosch(g, bits)
     marks.append(time.perf_counter())
-    max_size = max(mask.bit_count() for mask in oracle)
+    max_size = max(map(len, oracle))
 
     # A clique's common elements are the AND of its members' label masks.
     label_masks = [sum(1 << e for e in label) for label in labels]
     # Keys in report order: sets_equal leads, but is decided after the laws.
     checks = dict.fromkeys(("sets_equal", "intersection_sizes_ok", "size_laws_ok"), True)
     # One note per faulty clique, in the sorted order of maximal_cliques().
-    for members in sorted(map(_mask_vertices, oracle)):
+    for members in sorted(oracle):
         shared = -1
         for i in members:
             shared &= label_masks[i]
@@ -352,7 +371,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
                          f"{len(members)} members, expected {expected}")
 
     # Closed-form members reach the rows only through the oracle's own labels.
-    bit_of = {label: 1 << i for i, label in enumerate(labels)}.__getitem__
+    index_of = {label: i for i, label in enumerate(labels)}.__getitem__
 
     # (class, cliques, k): each clique of a class is fixed by a k-set.
     classes = [("class-min", tuple(enumerate_min_cliques(p)), m + 1)]
@@ -363,8 +382,12 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         )
     else:
         classes.append(("class-max", tuple(enumerate_max_cliques(p)), m - 1))
-    masks = [[sum(map(bit_of, h.members())) for h in cliques] for _, cliques, _ in classes]
-    families = [set(family) for family in masks]
+    # Each clique as its sorted vertex indices: the sets are compared on
+    # membership, and a member listed twice stays in the tuple.
+    tuples = [
+        [tuple(sorted(map(index_of, h.members()))) for h in cliques] for _, cliques, _ in classes
+    ]
+    families = [set(family) for family in tuples]
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
@@ -381,7 +404,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     marks.append(time.perf_counter())
 
     edges = g.edge_total()
-    covers = [_covers_each_edge_once(family, g) for family in masks]
+    covers = [_covers_each_edge_once(family, g, bits) for family in tuples]
     counted = edge_count(p)
     checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:

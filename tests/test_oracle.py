@@ -209,10 +209,13 @@ class TestMaterialize:
         assert materialize(p).rows == tuple(rows)
 
 
+BITS_2000 = [1 << i for i in range(2000)]
+
+
 class TestMaskVertices:
     @given(st.integers(0, (1 << 2000) - 1))
     def test_round_trip(self, mask):
-        got = oracle._mask_vertices(mask)
+        got = oracle._mask_vertices(mask, BITS_2000)
         assert list(got) == sorted(set(got))
         assert sum(1 << i for i in got) == mask
 
@@ -242,36 +245,45 @@ TRIANGLE = DenseGraph(3, (0b110, 0b101, 0b011))
 # Vertices i and 5 - i are the octahedron's only non-adjacent pairs.
 OCTAHEDRON = DenseGraph(6, tuple(0b111111 & ~(1 << i) & ~(1 << (5 - i)) for i in range(6)))
 # One triangle per antipodal choice that the class-min family of J(4,2) makes.
-OCTAHEDRON_PARTITION = [0b000111, 0b011001, 0b101010, 0b110100]
+OCTAHEDRON_PARTITION = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
+def covers_each_edge_once(cliques, g):
+    return oracle._covers_each_edge_once(cliques, g, [1 << i for i in range(g.vertex_count)])
 
 
 class TestCoversEachEdgeOnce:
     def test_exact_covers_pass(self):
-        assert oracle._covers_each_edge_once([0b111], TRIANGLE)
-        assert oracle._covers_each_edge_once([0b011, 0b101, 0b110], TRIANGLE)
-        assert oracle._covers_each_edge_once(OCTAHEDRON_PARTITION, OCTAHEDRON)
-        edge_pairs = [(1 << i) | (1 << j) for i, j in combinations(range(6), 2) if i + j != 5]
-        assert oracle._covers_each_edge_once(edge_pairs, OCTAHEDRON)
+        assert covers_each_edge_once([(0, 1, 2)], TRIANGLE)
+        assert covers_each_edge_once([(0, 1), (0, 2), (1, 2)], TRIANGLE)
+        assert covers_each_edge_once(OCTAHEDRON_PARTITION, OCTAHEDRON)
+        edge_pairs = [(i, j) for i, j in combinations(range(6), 2) if i + j != 5]
+        assert covers_each_edge_once(edge_pairs, OCTAHEDRON)
 
     def test_missing_edge_fails(self):
-        assert not oracle._covers_each_edge_once([0b011, 0b101], TRIANGLE)
-        assert not oracle._covers_each_edge_once(OCTAHEDRON_PARTITION[1:], OCTAHEDRON)
+        assert not covers_each_edge_once([(0, 1), (0, 2)], TRIANGLE)
+        assert not covers_each_edge_once(OCTAHEDRON_PARTITION[1:], OCTAHEDRON)
 
     def test_edge_covered_twice_fails(self):
-        assert not oracle._covers_each_edge_once([0b111, 0b011], TRIANGLE)
-        twice = OCTAHEDRON_PARTITION + [0b000011]
-        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON)
+        assert not covers_each_edge_once([(0, 1, 2), (0, 1)], TRIANGLE)
+        twice = OCTAHEDRON_PARTITION + [(0, 1)]
+        assert not covers_each_edge_once(twice, OCTAHEDRON)
 
     def test_non_edge_pair_fails(self):
-        non_edge = OCTAHEDRON_PARTITION + [0b100001]
-        assert not oracle._covers_each_edge_once(non_edge, OCTAHEDRON)
+        non_edge = OCTAHEDRON_PARTITION + [(0, 5)]
+        assert not covers_each_edge_once(non_edge, OCTAHEDRON)
 
     def test_right_pair_count_with_an_edge_uncovered_fails(self):
         # One clique twice in place of another: the cliques still count
         # exactly |E| pairs, but one pair twice and some edge not at all.
-        assert not oracle._covers_each_edge_once([0b011, 0b011, 0b101], TRIANGLE)
+        assert not covers_each_edge_once([(0, 1), (0, 1), (0, 2)], TRIANGLE)
         twice = OCTAHEDRON_PARTITION[1:] + OCTAHEDRON_PARTITION[1:2]
-        assert not oracle._covers_each_edge_once(twice, OCTAHEDRON)
+        assert not covers_each_edge_once(twice, OCTAHEDRON)
+
+    def test_member_listed_twice_fails(self):
+        # (0, 0, 1) counts C(3, 2) = 3 pairs, the triangle's edge total, but
+        # covers only the edge 01.
+        assert not covers_each_edge_once([(0, 0, 1)], TRIANGLE)
 
 
 class TestMaximalCliques:
@@ -390,7 +402,7 @@ class TestMaximalCliques:
         ]
         assert maximal_cliques(g) == naive_maximal_cliques(9, g.adjacent)
         # The root, four leaves under 6, one under 5 and two under 0.
-        assert oracle._bron_kerbosch(g)[1] == 8
+        assert oracle._bron_kerbosch(g, [1 << i for i in range(9)])[1] == 8
 
     def test_deterministic(self):
         g = materialize(JohnsonParams(6, 3))
@@ -562,6 +574,29 @@ class TestVerify:
         assert not report.checks["partition_ok"]
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "doubling",
+        [lambda real: real + real[-1:], lambda real: real[:1] + real],
+        ids=["last_twice", "first_twice"],
+    )
+    @pytest.mark.parametrize("n,m", [(5, 3), (6, 3), (9, 4)])
+    def test_member_listed_twice_is_reported(self, monkeypatch, doubling, n, m):
+        # A clique that lists one member twice is not an oracle clique, and
+        # counts more pairs than it covers; it is reported, not raised.
+        real = MaximalClique.members
+        monkeypatch.setattr(MaximalClique, "members", lambda h: doubling(real(h)))
+        report = verify(JohnsonParams(n, m))
+        assert not report.checks["sets_equal"]
+        assert not report.checks["edge_law_ok"]
+        assert not report.passed
+
+    def test_members_in_another_order_pass(self, monkeypatch):
+        # The families are compared with the oracle on membership alone.
+        real = MaximalClique.members
+        monkeypatch.setattr(MaximalClique, "members", lambda h: tuple(reversed(real(h))))
+        for n, m in [(5, 3), (6, 3), (9, 4)]:
+            assert verify(JohnsonParams(n, m)).passed
+
     def test_colex_stepper_fault_is_reported(self, monkeypatch):
         # The enumerations take their sets from combinat._colex_runs(); the
         # oracle sorts its labels out of combinations(). A stepper that drops
@@ -582,17 +617,18 @@ class TestVerify:
         "n,m,vertices,edges,cliques,expand_calls",
         [
             (5, 3, 10, 30, 15, 25),
-            (6, 3, 20, 90, 30, 77),
-            (9, 4, 126, 1260, 210, 1264),
-            (12, 5, 792, 13860, 1419, 15500),
+            (6, 3, 20, 90, 30, 81),
+            (9, 4, 126, 1260, 210, 1280),
+            (12, 5, 792, 13860, 1419, 15536),
         ],
     )
     def test_phase_timings_and_counters(self, n, m, vertices, edges, cliques, expand_calls):
         # expand_calls is pinned: it counts every node of the search tree,
         # including branches settled in their parent. It depends on the
-        # order in which the search branches, highest vertex first, and on
-        # a node whose candidates split into k cliques with no edge between
-        # them counting as k leaves.
+        # order in which the search branches, highest vertex first, on the
+        # pivot coming from the candidates alone, and on a node whose
+        # candidates split into k cliques with no edge between them
+        # counting as k leaves.
         p = JohnsonParams(n, m)
         report = verify(p)
         assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
