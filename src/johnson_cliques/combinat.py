@@ -65,9 +65,12 @@ def make_label(elements: Iterable[int]) -> Label:
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
     """Check that ``label`` is a non-empty tuple of strictly increasing ints
-    in 1..n (and of size ``m`` when given); raise ValidationError otherwise."""
+    in 1..n (and of size ``m`` when given); raise ValidationError otherwise,
+    and RangeError, as binomial() does, for n > MAX_GROUND_SET."""
     if type(n) is not int:
         raise ValidationError(f"n must be an int, got {n!r}")
+    if n > MAX_GROUND_SET:
+        raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
     if not isinstance(label, tuple):
         raise ValidationError(f"label {label!r} is not a tuple")
     if not label:

@@ -10,9 +10,10 @@ A search node whose candidates split into cliques with no edge between them
 reports each one that no excluded vertex extends, and branches no further;
 that holds on any graph, since the candidates and excluded vertices are the
 common neighbourhood of the node's base. The graph is built from the
-pairwise "share m-1 elements" definition by column masks, not from the
-single-swap walk that the edge stream and export use; the tests check that
-the two give the same rows. Its labels are every m-combination of {1..n}
+pairwise "share m-1 elements" definition, by masks keyed on each label's
+(m-1)-subsets, for any list of labels of one size; it does not use the
+single-swap walk that the edge stream and export use, and the tests check
+that the two give the same rows. Its labels are every m-combination of {1..n}
 sorted by the reversed tuple, colex order by its definition, so it shares no
 colex stepper with the streams and enumerations it checks. The edge law
 compares edge_count() with the graph's own edge total and covers that graph
@@ -31,6 +32,7 @@ from typing import Container, Iterable, Iterator
 
 from .combinat import MAX_GROUND_SET, Label, binomial, colex_key
 from .cliques import (
+    MaximalClique,
     clique_number,
     clique_partition,
     clique_partition_number,
@@ -113,31 +115,30 @@ def materialize(p: JohnsonParams, max_vertices: int | None = None) -> DenseGraph
 
 def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
     """The labels in colex order, every m-combination sorted by the
-    reversed tuple, and the graph whose vertex i is labels[i], built from
-    the definition: row i holds every other label that has all but one
-    element x of label i. With col[e] the mask of the labels that hold e,
-    that is the OR over x in label i of the AND of col[e] over the rest of
-    label i, taken from prefix and suffix ANDs."""
+    reversed tuple, and the graph whose vertex i is labels[i], with
+    _definition_rows() as its rows."""
     _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
     labels = sorted(combinations(range(1, p.n + 1), p.m), key=colex_key)
-    col = [0] * (p.n + 1)
+    return labels, DenseGraph(len(labels), _definition_rows(labels))
+
+
+def _definition_rows(labels: list[Label]) -> tuple[int, ...]:
+    """Adjacency rows of ``labels``, any list of labels of one size m, from
+    the definition: row i holds every other label that shares m-1 elements
+    with labels[i]. Each (m-1)-subset of a label keys the mask of the labels
+    that hold it, and row i is the OR of the masks of the m subsets of
+    labels[i], with bit i cleared."""
+    holders: dict[Label, int] = {}
     for i, label in enumerate(labels):
-        bit = 1 << i
-        for e in label:
-            col[e] |= bit
+        for key in combinations(label, len(label) - 1):
+            holders[key] = holders.get(key, 0) | (1 << i)
     rows = []
     for i, label in enumerate(labels):
-        cols = [col[e] for e in label]
-        # suffix[k] is the AND of cols[k:]; -1 is the AND of none.
-        suffix = [-1] * (len(cols) + 1)
-        for k in range(len(cols) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] & cols[k]
-        row, prefix = 0, -1
-        for k, c in enumerate(cols):
-            row |= prefix & suffix[k + 1]
-            prefix &= c
+        row = 0
+        for key in combinations(label, len(label) - 1):
+            row |= holders[key]
         rows.append(row ^ (1 << i))
-    return labels, DenseGraph(len(labels), tuple(rows))
+    return tuple(rows)
 
 
 def _mask_vertices(mask: int, bits: list[int]) -> tuple[int, ...]:
@@ -174,9 +175,9 @@ def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]
     adjacent to in full, and counts as k leaves. The candidates and excluded
     vertices together are the common neighbourhood of the base, so every
     clique among the candidates lies in one of the k, and only an excluded
-    vertex can extend one; the rule is exact on any graph. A branch left
-    with no candidates is settled in its parent, and counted as the call it
-    would have been."""
+    vertex can extend one; the rule is exact on any graph. A call with no
+    candidates is a leaf: it reports its base when no excluded vertex is
+    left, and counts one node."""
     rows = g.rows
     # Each loop peels its top vertex with one new int, bits[i] being reused,
     # not the two that peeling the low bit (x & -x, then x ^ low) makes.
@@ -184,8 +185,12 @@ def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]
     calls = 0
 
     def expand(base: int, cand: int, excl: int) -> None:
-        # cand is empty only at an empty graph's root; the peel's else returns 0 calls.
         nonlocal calls
+        if not cand:
+            calls += 1
+            if not excl:
+                found.append(base)
+            return
         # Peel the candidates one clique at a time from the top: the top
         # vertex's comp is itself and its candidate neighbours, and every
         # other member must see exactly the rest of comp among the
@@ -235,17 +240,12 @@ def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]
             bit = bits[i]
             todo ^= bit
             row = rows[i]
-            sub = cand & row
-            if sub:
-                expand(base | bit, sub, excl & row)
-            else:
-                calls += 1
-                if not excl & row:
-                    found.append(base | bit)
+            expand(base | bit, cand & row, excl & row)
             cand ^= bit
             excl |= bit
 
-    expand(0, (1 << g.vertex_count) - 1, 0)
+    if rows:  # the empty graph reports no clique, not the empty one
+        expand(0, (1 << g.vertex_count) - 1, 0)
     # Decoded in place, so each mask is freed as its tuple takes its slot.
     for k, mask in enumerate(found):
         found[k] = _mask_vertices(mask, bits)
@@ -335,6 +335,32 @@ def _covers_each_edge_once(
     )
 
 
+def _index_tuples(
+    name: str, cliques: tuple[MaximalClique, ...], index: dict[Label, int], notes: list[str]
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Each clique's members as their sorted vertex indices by ``index``, and
+    whether every member is a vertex label. A member that is not, unknown or
+    unhashable, is left out of its tuple, and one note in ``notes`` names the
+    first; the lookups run unchecked until one of them raises."""
+    get = index.__getitem__
+    try:
+        return [tuple(sorted(map(get, h.members()))) for h in cliques], True
+    except (KeyError, TypeError):
+        pass
+    tuples, strays = [], []
+    for h in cliques:
+        indices = []
+        for member in h.members():
+            try:
+                indices.append(index[member])
+            except (KeyError, TypeError):
+                strays.append(member)
+        tuples.append(tuple(sorted(indices)))
+    notes.append(f"{name} family lists {strays[0]!r}, which is not a vertex label "
+                 f"({len(strays)} such members in all)")
+    return tuples, False
+
+
 def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
     """Run every closed-form claim for one (n, m) against the oracle. The
     cap is materialize()'s: ``max_vertices``, or the default read at the call."""
@@ -371,7 +397,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
                          f"{len(members)} members, expected {expected}")
 
     # Closed-form members reach the rows only through the oracle's own labels.
-    index_of = {label: i for i, label in enumerate(labels)}.__getitem__
+    index = {label: i for i, label in enumerate(labels)}
 
     # (class, cliques, k): each clique of a class is fixed by a k-set.
     classes = [("class-min", tuple(enumerate_min_cliques(p)), m + 1)]
@@ -383,16 +409,17 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     else:
         classes.append(("class-max", tuple(enumerate_max_cliques(p)), m - 1))
     # Each clique as its sorted vertex indices: the sets are compared on
-    # membership, and a member listed twice stays in the tuple.
-    tuples = [
-        [tuple(sorted(map(index_of, h.members()))) for h in cliques] for _, cliques, _ in classes
-    ]
+    # membership, and a member listed twice stays in the tuple. A family
+    # that lists a member that is not a vertex label fails both checks.
+    tuples, clean = zip(
+        *[_index_tuples(name, cliques, index, notes) for name, cliques, _ in classes]
+    )
     families = [set(family) for family in tuples]
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
     closed_form_count = len(closed)
-    checks["sets_equal"] = set(oracle) == closed and len(oracle) == closed_form_count
+    checks["sets_equal"] = all(clean) and set(oracle) == closed and len(oracle) == closed_form_count
     for (name, _, k), family in zip(classes, families):
         if len(family) != binomial(n, k):
             checks["sets_equal"] = False
@@ -404,7 +431,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     marks.append(time.perf_counter())
 
     edges = g.edge_total()
-    covers = [_covers_each_edge_once(family, g, bits) for family in tuples]
+    covers = [ok and _covers_each_edge_once(family, g, bits) for family, ok in zip(tuples, clean)]
     counted = edge_count(p)
     checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:

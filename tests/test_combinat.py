@@ -83,6 +83,7 @@ OVER_BOUND_CALLS = {
     "binomial": lambda: binomial(63, 2),
     "unrank": lambda: unrank(0, 63, 2),
     "rank": lambda: rank((1, 63), 63),
+    "validate_label": lambda: validate_label((1, 2), 63),
     "iter_subsets_colex": lambda: list(iter_subsets_colex(63, 2)),
     "johnson_params": lambda: JohnsonParams(63, 2),
 }

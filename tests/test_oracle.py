@@ -1,7 +1,9 @@
+import ast
 import pickle
 import random
 import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,21 @@ class TestMaterialize:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         assert materialize(p).rows == tuple(rows)
+
+    @pytest.mark.parametrize("n,m", [(40, 10), (62, 2)])
+    def test_definition_rows_of_a_link(self, n, m):
+        # The link of rank 0 is every label that shares m-1 elements with
+        # it, far from all of C(n, m): its rows must be the pairwise rows.
+        v = unrank(0, n, m)
+        outside = [y for y in range(1, n + 1) if y not in v]
+        link = sorted({tuple(sorted(rest + (y,))) for rest in combinations(v, m - 1)
+                       for y in outside})
+        assert len(link) == m * (n - m)
+        rows = oracle._definition_rows(link)
+        assert rows == tuple(
+            sum(1 << j for j, b in enumerate(link) if len(set(a) & set(b)) == m - 1) for a in link
+        )
+        assert DenseGraph(len(link), rows).edge_total() == len(link) * (n - 2) // 2
 
 
 BITS_2000 = [1 << i for i in range(2000)]
@@ -590,6 +607,28 @@ class TestVerify:
         assert not report.checks["edge_law_ok"]
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "stray,note",
+        [
+            (lambda real: real[:-1] + ((1, 2, 9),),
+             "class-max family lists (1, 2, 9), which is not a vertex label (10 such members in all)"),
+            (lambda real: real[:-1] + (list(real[-1]),),
+             "class-min family lists [2, 3, 4], which is not a vertex label (5 such members in all)"),
+        ],
+        ids=["unknown_label", "list_member"],
+    )
+    def test_member_that_is_not_a_vertex_label_is_reported(self, monkeypatch, stray, note):
+        # A member that is not a vertex label, unknown or unhashable, is
+        # reported by name, not raised from the label lookup as KeyError or
+        # TypeError, which ended a whole sweep.
+        real = MaximalClique.members
+        monkeypatch.setattr(MaximalClique, "members", lambda h: stray(real(h)))
+        report = verify(JohnsonParams(5, 3))
+        assert not report.checks["sets_equal"]
+        assert not report.checks["edge_law_ok"]
+        assert not report.passed
+        assert note in report.notes
+
     def test_members_in_another_order_pass(self, monkeypatch):
         # The families are compared with the oracle on membership alone.
         real = MaximalClique.members
@@ -846,3 +885,23 @@ class TestSecondOracle:
         graph.add_nodes_from(range(nv))
         graph.add_edges_from((i, j) for i in range(nv) for j in range(i + 1, nv) if g.adjacent(i, j))
         assert sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph)) == cliques
+
+
+# The oracle is the independent check of the closed forms: it must reach
+# none of the code that builds what it checks.
+CHECKED_CODE = {
+    "_swap_walk", "_colex_runs", "_colex_values", "iter_subsets_colex", "_insertions",
+    "neighbors", "are_adjacent", "rank", "unrank",
+}
+
+
+def test_oracle_reaches_none_of_the_code_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert {"combinations", "colex_key", "bit_count"} <= names
+    assert not names & CHECKED_CODE, sorted(names & CHECKED_CODE)
