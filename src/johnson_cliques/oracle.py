@@ -341,24 +341,19 @@ def _index_tuples(
     """Each clique's members as their sorted vertex indices by ``index``, and
     whether every member is a vertex label. A member that is not, unknown or
     unhashable, is left out of its tuple, and one note in ``notes`` names the
-    first; the lookups run unchecked until one of them raises."""
-    get = index.__getitem__
-    try:
-        return [tuple(sorted(map(get, h.members()))) for h in cliques], True
-    except (KeyError, TypeError):
-        pass
-    tuples, strays = [], []
+    first."""
+    tuples, clean = [], True
     for h in cliques:
         indices = []
         for member in h.members():
             try:
                 indices.append(index[member])
             except (KeyError, TypeError):
-                strays.append(member)
+                if clean:
+                    notes.append(f"{name} family lists {member!r}, which is not a vertex label")
+                clean = False
         tuples.append(tuple(sorted(indices)))
-    notes.append(f"{name} family lists {strays[0]!r}, which is not a vertex label "
-                 f"({len(strays)} such members in all)")
-    return tuples, False
+    return tuples, clean
 
 
 def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
