@@ -53,6 +53,7 @@ from .cliques import (
 )
 from .oracle import (
     DenseGraph,
+    FailedPair,
     SkippedPair,
     VerificationReport,
     materialize,

@@ -34,7 +34,7 @@ from .cliques import (
 from .combinat import _CHUNK_LINES, MAX_GROUND_SET, _colex_runs, parse_label, validate_label
 from .errors import ValidationError
 from .graph import JohnsonParams, are_adjacent, export
-from .oracle import SkippedPair, verify_range
+from .oracle import FailedPair, SkippedPair, verify_range
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)\Z", re.ASCII)
 
@@ -278,8 +278,11 @@ def _cmd_verify(args, out, err) -> int:
         if isinstance(result, SkippedPair):
             skipped += 1
             continue
+        if isinstance(result, FailedPair):
+            err.write(result.trace.encode(errors="backslashreplace"))
+            continue
         passed += result.passed
-        summed += result.elapsed_seconds
+        summed += sum(result.phase_seconds.values())
         if args.timings:
             seconds = {phase: round(s, 6) for phase, s in result.phase_seconds.items()}
             err.write(

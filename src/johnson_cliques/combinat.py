@@ -93,7 +93,12 @@ def parse_label(text: str) -> Label:
     match = _LABEL_RE.match(text)
     if match is None:
         raise ValidationError(f"invalid label syntax: {text!r} (expected e.g. '{{1,3,4}}')")
-    return make_label(int(part) for part in match.group(1).split(","))
+    # int() refuses text past 4300 digits with ValueError, leading zeros
+    # included, so they are dropped and a longer element is refused first.
+    digits = [part.lstrip("0") or "0" for part in match.group(1).split(",")]
+    if max(map(len, digits)) > len(str(MAX_GROUND_SET)):
+        raise ValidationError(f"label text has an element above {MAX_GROUND_SET}")
+    return make_label(map(int, digits))
 
 
 def format_label(label: Label) -> str:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -53,25 +54,24 @@ VERIFY_PHASES = ("materialize", "clique_search", "families", "edge_law", "partit
 class DenseGraph:
     """Adjacency as one bit-set row per vertex: bit j of rows[i] means edge ij.
 
-    The constructor raises ValidationError for a non-int ``vertex_count``,
-    non-tuple ``rows``, then the first row, in order, that is not an int, has
-    stray bits or a self-loop, or has a later bit j > i whose mirror (bit i of
-    row j) is missing. If every later bit is mirrored but an earlier bit is
-    not, it names the first earlier bit with no mirror, in row order.
+    ``rows`` is the one field; ``vertex_count`` is its length. The
+    constructor raises ValidationError for ``rows`` that is not a tuple,
+    then for the first row i, in order, that is not an int, has stray bits
+    or a self-loop, or whose bits j < i differ from bit i of rows j; at the
+    lowest such j it names the pair (a, b) of i and j where row a lists b
+    and row b does not list a.
     """
 
-    vertex_count: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        nv, rows = self.vertex_count, self.rows
-        if type(nv) is not int or type(rows) is not tuple:
-            raise ValidationError(f"expected an int vertex count and a tuple of rows, "
-                                  f"got {nv!r} and a {type(rows).__name__}")
-        if len(rows) != nv:
-            raise ValidationError(f"expected {nv} adjacency rows, got {len(rows)}")
+        rows = self.rows
+        if type(rows) is not tuple:
+            raise ValidationError(f"expected a tuple of rows, got a {type(rows).__name__}")
+        nv = len(rows)
         bits = [1 << i for i in range(nv)]
-        total = later = 0
+        # mirror[i] gathers bit j of every earlier row j that lists i.
+        mirror = [0] * nv
         for i, row in enumerate(rows):
             bit_i = bits[i]
             if type(row) is not int:
@@ -80,20 +80,19 @@ class DenseGraph:
                 raise ValidationError(f"row {i} has bits beyond vertex {nv - 1}")
             if row & bit_i:
                 raise ValidationError(f"self-loop at vertex {i}")
-            total += row.bit_count()
-            rest = row & -(bit_i << 1)
-            later += rest.bit_count()
-            for j in _mask_vertices(rest, bits):
-                if not rows[j] & bit_i:
-                    raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
-        if total != 2 * later:
-            # Mirroring maps the later bits, all mirrored, one to one into
-            # the earlier bits; there are more of those, so one has no mirror.
-            for i, row in enumerate(rows):
-                bit_i = bits[i]
-                for j in _mask_vertices(row & (bit_i - 1), bits):
-                    if not rows[j] & bit_i:
-                        raise ValidationError(f"adjacency not symmetric at ({i}, {j})")
+            later = row & -bit_i
+            if diff := row ^ later ^ mirror[i]:
+                j = (diff & -diff).bit_length() - 1
+                pair = (i, j) if row & bits[j] else (j, i)
+                raise ValidationError(f"adjacency not symmetric at {pair}")
+            while later:
+                j = later.bit_length() - 1
+                mirror[j] |= bit_i
+                later ^= bits[j]
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.rows)
 
     def adjacent(self, i: int, j: int) -> bool:
         """Whether ij is an edge; ValidationError for an index that is not
@@ -119,7 +118,7 @@ def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
     _definition_rows() as its rows."""
     _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
     labels = sorted(combinations(range(1, p.n + 1), p.m), key=colex_key)
-    return labels, DenseGraph(len(labels), _definition_rows(labels))
+    return labels, DenseGraph(_definition_rows(labels))
 
 
 def _definition_rows(labels: list[Label]) -> tuple[int, ...]:
@@ -270,7 +269,6 @@ class VerificationReport:
     closed_form_count: int
     checks: dict[str, bool]
     max_clique_size_observed: int
-    elapsed_seconds: float
     phase_seconds: dict[str, float]
     counters: dict[str, int]
     notes: tuple[str, ...]
@@ -280,8 +278,8 @@ class VerificationReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        # elapsed_seconds, phase_seconds and counters are deliberately left
-        # out: report lines must be byte-identical across runs.
+        # phase_seconds and counters are deliberately left out: report
+        # lines must be byte-identical across runs.
         return {
             "n": self.params.n,
             "m": self.params.m,
@@ -304,6 +302,19 @@ class SkippedPair:
 
     def to_dict(self) -> dict:
         return {"n": self.params.n, "m": self.params.m, "skipped": self.reason}
+
+
+@dataclass(frozen=True)
+class FailedPair:
+    """A pair whose check raised; ``error`` is the exception's type and text,
+    and ``trace`` its traceback, which the report line leaves out."""
+
+    params: JohnsonParams
+    error: str
+    trace: str
+
+    def to_dict(self) -> dict:
+        return {"n": self.params.n, "m": self.params.m, "passed": False, "error": self.error}
 
 
 def _covers_each_edge_once(
@@ -450,7 +461,6 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         closed_form_count=closed_form_count,
         checks=checks,
         max_clique_size_observed=max_size,
-        elapsed_seconds=marks[-1] - marks[0],
         phase_seconds={
             phase: end - start for phase, start, end in zip(VERIFY_PHASES, marks, marks[1:])
         },
@@ -469,16 +479,17 @@ def verify_range(
     n_values: Container[int],
     jobs: int = 1,
     max_vertices: int | None = None,
-) -> Iterator[VerificationReport | SkippedPair]:
+) -> Iterator[VerificationReport | SkippedPair | FailedPair]:
     """Verify each valid pair (n, m), m >= 2 and m+1 <= n <= MAX_GROUND_SET,
     with m in ``m_values`` and n in ``n_values``: collections only tested
     with ``in``, never iterated, so ranges of any width are cheap. Results
     come in (m, n) order as they are ready, whatever ``jobs`` is. A pair over
     ``max_vertices`` (default: DEFAULT_MATERIALIZE_CAP, read once at the call,
-    for every worker) yields a SkippedPair and the sweep goes on. ``jobs``
-    and ``max_vertices`` below 1 raise ValidationError at the call, before
-    any pair is checked, as do values that are not ints and ``m_values`` or
-    ``n_values`` that cannot answer ``in`` for an int."""
+    for every worker) yields a SkippedPair, a pair whose check raises yields
+    a FailedPair, and the sweep goes on. ``jobs`` and ``max_vertices`` below
+    1 raise ValidationError at the call, before any pair is checked, as do
+    values that are not ints and ``m_values`` or ``n_values`` that cannot
+    answer ``in`` for an int."""
     _check_knob("jobs", jobs)
     max_vertices = DEFAULT_MATERIALIZE_CAP if max_vertices is None else max_vertices
     _check_knob("max_vertices", max_vertices)
@@ -503,12 +514,17 @@ def _pooled(check, pairs: list[JohnsonParams], workers: int) -> Iterator:
         yield from pool.map(check, pairs)
 
 
-def _verify_or_skip(p: JohnsonParams, max_vertices: int) -> VerificationReport | SkippedPair:
+def _verify_or_skip(
+    p: JohnsonParams, max_vertices: int
+) -> VerificationReport | SkippedPair | FailedPair:
     try:
         _check_cap(p, max_vertices, "materialization")
     except RangeError as exc:
         return SkippedPair(p, str(exc))
-    return verify(p, max_vertices)
+    try:
+        return verify(p, max_vertices)
+    except Exception as exc:
+        return FailedPair(p, f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def _worker_count(jobs: int, pair_count: int) -> int:

@@ -122,6 +122,27 @@ class TestAdj:
         assert code == 2
 
 
+class TestLongLabelText:
+    LONG = "{" + "1" * 5000 + "}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adj", "--n", "4", "--m", "2", LONG, "{1,2}"],
+            ["classify", "--n", "4", "--m", "2", LONG],
+        ],
+        ids=["adj", "classify"],
+    )
+    def test_element_of_5000_digits_is_a_one_line_error(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+
+    def test_5000_leading_zeros_are_dropped(self):
+        argv = ["adj", "--n", "4", "--m", "2", "{1," + "0" * 5000 + "2}", "{1,3}"]
+        assert run_cli(argv)[:2] == (0, b"true\n")
+
+
 class TestCliques:
     def test_all_counts(self):
         code, out, _ = run_cli(["cliques", "--n", "5", "--m", "3"])
@@ -483,6 +504,26 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..5"])
         assert code == 3
         assert len(out.decode().splitlines()) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pair_whose_check_raises_is_one_failed_line(self, monkeypatch, jobs):
+        real = oracle.clique_partition
+
+        def clique_partition(p):
+            if p == JohnsonParams(5, 3):
+                raise KeyError("boom")
+            return real(p)
+
+        monkeypatch.setattr(oracle, "clique_partition", clique_partition)
+        argv = ["verify", "--m-range", "2..4", "--n-range", "3..9", "--jobs", jobs]
+        code, out, err = run_cli(argv)
+        assert code == 3
+        lines = out.decode().splitlines()
+        golden = (GOLDEN / "verify_m2-4_n3-9.jsonl").read_text().splitlines()
+        assert len(lines) == len(golden) == 18
+        assert lines[8] == '{"n":5,"m":3,"passed":false,"error":"KeyError: \'boom\'"}'
+        assert lines[:8] + lines[9:] == golden[:8] + golden[9:]
+        assert err.startswith(b"Traceback") and b"KeyError: 'boom'\n17/18 pairs passed" in err
 
     def test_timings_go_to_stderr_only(self):
         argv = ["verify", "--m-range", "2..3", "--n-range", "4..6"]

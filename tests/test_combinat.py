@@ -217,6 +217,20 @@ class TestLabelText:
         with pytest.raises(ValidationError):
             parse_label("{1,100}")
 
+    @pytest.mark.parametrize(
+        "text", ["{" + "1" * 5000 + "}", "{2," + "1" * 5000 + "}"], ids=["alone", "second"]
+    )
+    def test_element_of_more_digits_than_the_bound_is_refused(self, text):
+        # int() raises ValueError past 4300 digits; the text is refused first.
+        with pytest.raises(ValidationError, match="element"):
+            parse_label(text)
+
+    def test_leading_zeros_are_dropped_however_many(self):
+        assert parse_label("{1," + "0" * 5000 + "2}") == (1, 2)
+        assert parse_label("{" + "0" * 5000 + "62}") == (62,)
+        with pytest.raises(ValidationError):
+            parse_label("{" + "0" * 5000 + "}")
+
     def test_empty_label_has_no_text(self):
         # parse_label() refuses "{}", so format_label() must not write it.
         with pytest.raises(ValidationError, match="empty label"):

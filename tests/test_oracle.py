@@ -55,47 +55,55 @@ def assert_all_maximal(g, cliques):
 class TestDenseGraph:
     def test_symmetry_enforced(self):
         with pytest.raises(ValidationError):
-            DenseGraph(2, (0b10, 0b00))
+            DenseGraph((0b10, 0b00))
 
     def test_self_loops_rejected(self):
         with pytest.raises(ValidationError):
-            DenseGraph(1, (0b1,))
+            DenseGraph((0b1,))
 
     def test_stray_bits_rejected(self):
         with pytest.raises(ValidationError):
-            DenseGraph(2, (0b100, 0b000))
-
-    def test_row_count_must_match_vertex_count(self):
-        with pytest.raises(ValidationError, match="expected 3 adjacency rows, got 2"):
-            DenseGraph(3, (0, 0))
+            DenseGraph((0b100, 0b000))
 
     @pytest.mark.parametrize(
-        "vertex_count,rows",
-        [(2, [0, 0]), (True, (0,)), (1.0, (0,)), (1, (False,)), (2, (0, 1.0)), (1, ("0",))],
+        "rows",
+        [[0, 0], (False,), (0, 1.0), ("0",)],
+        ids=["list", "bool_row", "float_row", "str_row"],
     )
-    def test_input_of_the_wrong_type_rejected(self, vertex_count, rows):
+    def test_input_of_the_wrong_type_rejected(self, rows):
         with pytest.raises(ValidationError):
-            DenseGraph(vertex_count, rows)
+            DenseGraph(rows)
+
+    @pytest.mark.parametrize("row", [1.5, "x", None, [0b01]])
+    def test_a_later_row_is_type_checked_before_it_is_read(self, row):
+        # Row 0 lists vertex 1, so a check that reads row 1 for row 0's
+        # mirror before row 1's own type check raises TypeError.
+        with pytest.raises(ValidationError, match=r"^row 1 is not an int"):
+            DenseGraph((0b10, row))
+
+    def test_vertex_count_is_the_number_of_rows(self):
+        assert DenseGraph(()).vertex_count == 0
+        assert DenseGraph((0b10, 0b01, 0)).vertex_count == 3
 
     def test_edge_total(self):
-        g = DenseGraph(3, (0b110, 0b101, 0b011))
+        g = DenseGraph((0b110, 0b101, 0b011))
         assert g.edge_total() == 3
 
     @pytest.mark.parametrize("i,j", [(-1, 1), (1, 5), (0, -1), (3, 0), (1.0, 0), (True, 0), (0, "1")])
     def test_adjacent_refuses_a_vertex_that_does_not_exist(self, i, j):
         # -1 would wrap to the last row, and a negative shift raises ValueError.
-        g = DenseGraph(3, (0b010, 0b101, 0b010))
+        g = DenseGraph((0b010, 0b101, 0b010))
         with pytest.raises(ValidationError, match=r"is not in range\(3\)"):
             g.adjacent(i, j)
 
     def test_missing_mirror_of_a_later_bit_is_named(self):
         with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(0, 1\)$"):
-            DenseGraph(3, (0b010, 0, 0))
+            DenseGraph((0b010, 0, 0))
 
     def test_missing_mirror_of_an_earlier_bit_is_named(self):
         # Every later bit is mirrored here; only the bit counts differ.
         with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(1, 0\)$"):
-            DenseGraph(3, (0, 0b001, 0))
+            DenseGraph((0, 0b001, 0))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -107,11 +115,11 @@ class TestDenseGraph:
         for i, j in edges:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        assert DenseGraph(nv, tuple(rows)).rows == tuple(rows)
+        assert DenseGraph(tuple(rows)).rows == tuple(rows)
         i, j = data.draw(st.sampled_from([(i, j) for i in range(nv) for j in range(nv) if i != j]))
         rows[i] ^= 1 << j
         with pytest.raises(ValidationError) as raised:
-            DenseGraph(nv, tuple(rows))
+            DenseGraph(tuple(rows))
         assert str(raised.value) == first_symmetry_fault(rows)
 
     @given(st.data())
@@ -128,10 +136,10 @@ class TestDenseGraph:
             rows[i] ^= 1 << j
         if first_symmetry_fault(rows) is None:
             # The flips restored every pair they touched.
-            assert DenseGraph(nv, tuple(rows)).rows == tuple(rows)
+            assert DenseGraph(tuple(rows)).rows == tuple(rows)
             return
         with pytest.raises(ValidationError) as raised:
-            DenseGraph(nv, tuple(rows))
+            DenseGraph(tuple(rows))
         i, j = map(int, re.fullmatch(r"adjacency not symmetric at \((\d+), (\d+)\)",
                                      str(raised.value)).groups())
         assert (rows[i] >> j) & 1 and not (rows[j] >> i) & 1
@@ -223,7 +231,7 @@ class TestMaterialize:
         assert rows == tuple(
             sum(1 << j for j, b in enumerate(link) if len(set(a) & set(b)) == m - 1) for a in link
         )
-        assert DenseGraph(len(link), rows).edge_total() == len(link) * (n - 2) // 2
+        assert DenseGraph(rows).edge_total() == len(link) * (n - 2) // 2
 
 
 BITS_2000 = [1 << i for i in range(2000)]
@@ -254,13 +262,13 @@ def assert_matches_networkx(nv, edges):
         rows[i] |= 1 << j
         rows[j] |= 1 << i
         graph.add_edge(i, j)
-    got = maximal_cliques(DenseGraph(nv, tuple(rows)))
+    got = maximal_cliques(DenseGraph(tuple(rows)))
     assert got == sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph))
 
 
-TRIANGLE = DenseGraph(3, (0b110, 0b101, 0b011))
+TRIANGLE = DenseGraph((0b110, 0b101, 0b011))
 # Vertices i and 5 - i are the octahedron's only non-adjacent pairs.
-OCTAHEDRON = DenseGraph(6, tuple(0b111111 & ~(1 << i) & ~(1 << (5 - i)) for i in range(6)))
+OCTAHEDRON = DenseGraph(tuple(0b111111 & ~(1 << i) & ~(1 << (5 - i)) for i in range(6)))
 # One triangle per antipodal choice that the class-min family of J(4,2) makes.
 OCTAHEDRON_PARTITION = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
 
@@ -305,7 +313,7 @@ class TestCoversEachEdgeOnce:
 
 class TestMaximalCliques:
     def test_complete_triangle(self):
-        g = DenseGraph(3, (0b110, 0b101, 0b011))
+        g = DenseGraph((0b110, 0b101, 0b011))
         assert maximal_cliques(g) == [(0, 1, 2)]
 
     def test_octahedron_has_eight_triangles(self):
@@ -329,8 +337,8 @@ class TestMaximalCliques:
             maximal_cliques(g)
 
     def test_empty_graph(self):
-        assert maximal_cliques(DenseGraph(0, ())) == []
-        assert maximal_cliques(DenseGraph(3, (0, 0, 0))) == [(0,), (1,), (2,)]
+        assert maximal_cliques(DenseGraph(())) == []
+        assert maximal_cliques(DenseGraph((0, 0, 0))) == [(0,), (1,), (2,)]
 
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
     def test_matches_subset_enumeration(self, n, m):
@@ -355,7 +363,7 @@ class TestMaximalCliques:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
                 idx += 1
-        g = DenseGraph(nv, tuple(rows))
+        g = DenseGraph(tuple(rows))
         got = maximal_cliques(g)
         assert got == naive_maximal_cliques(nv, g.adjacent)
         assert_all_maximal(g, got)
@@ -396,7 +404,7 @@ class TestMaximalCliques:
         for i, j in edges:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        g = DenseGraph(7, tuple(rows))
+        g = DenseGraph(tuple(rows))
         assert maximal_cliques(g) == [(0, 1, 2, 6), (1, 2, 5), (3, 5), (4, 5)]
         assert maximal_cliques(g) == naive_maximal_cliques(7, g.adjacent)
 
@@ -413,7 +421,7 @@ class TestMaximalCliques:
         for i, j in edges:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        g = DenseGraph(9, tuple(rows))
+        g = DenseGraph(tuple(rows))
         assert maximal_cliques(g) == [
             (0, 1, 2, 5), (0, 3, 4), (1, 2, 6), (3, 4, 6), (6, 7), (6, 8)
         ]
@@ -676,7 +684,6 @@ class TestVerify:
         report = verify(p)
         assert tuple(report.phase_seconds) == oracle.VERIFY_PHASES
         assert all(s >= 0 for s in report.phase_seconds.values())
-        assert sum(report.phase_seconds.values()) == pytest.approx(report.elapsed_seconds)
         assert report.counters["vertices"] == vertex_count(p) == vertices
         assert report.counters["edges"] == edge_count(p) == edges
         assert report.counters["cliques_found"] == report.oracle_clique_count == cliques
@@ -695,7 +702,7 @@ class TestVerify:
                 i, j = labels.index(u), labels.index(v)
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            return labels, DenseGraph(g.vertex_count, tuple(rows))
+            return labels, DenseGraph(tuple(rows))
 
         monkeypatch.setattr(oracle, "_build", build)
         return verify(p)
