@@ -74,7 +74,7 @@ class TestDenseGraph:
         with pytest.raises(ValidationError):
             DenseGraph(rows)
 
-    @pytest.mark.parametrize("row", [1.5, "x", None, [0b01]])
+    @pytest.mark.parametrize("row", [1.5, "x", None, [0b01]], ids=["float", "str", "none", "list"])
     def test_a_later_row_is_type_checked_before_it_is_read(self, row):
         # Row 0 lists vertex 1, so a check that reads row 1 for row 0's
         # mirror before row 1's own type check raises TypeError.
@@ -101,7 +101,7 @@ class TestDenseGraph:
             DenseGraph((0b010, 0, 0))
 
     def test_missing_mirror_of_an_earlier_bit_is_named(self):
-        # Every later bit is mirrored here; only the bit counts differ.
+        # Row 1 lists vertex 0, which row 0 does not list back.
         with pytest.raises(ValidationError, match=r"adjacency not symmetric at \(1, 0\)$"):
             DenseGraph((0, 0b001, 0))
 
