@@ -514,6 +514,8 @@ class TestVerify:
                 raise KeyError("boom")
             return real(p)
 
+        # The pool's workers are forked (the default start method on Linux
+        # before Python 3.14), so under --jobs 2 they inherit the patch.
         monkeypatch.setattr(oracle, "clique_partition", clique_partition)
         argv = ["verify", "--m-range", "2..4", "--n-range", "3..9", "--jobs", jobs]
         code, out, err = run_cli(argv)
