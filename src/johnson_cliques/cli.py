@@ -37,6 +37,7 @@ from .graph import JohnsonParams, are_adjacent, export
 from .oracle import FailedPair, SkippedPair, verify_range
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)\Z", re.ASCII)
+_INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
 
 
 class _UsageError(Exception):
@@ -71,13 +72,24 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _ascii_int(text: str) -> int:
+    """``text`` as an int: ASCII digits after at most one minus sign, and
+    nothing else, where int() also takes other digits, "_", "+" and spaces."""
+    if _INT_RE.match(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _env_cap(default: int) -> int:
     raw = os.environ.get("JOHNSON_MAX_VERTICES")
     if raw is None:
         return default
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = _ascii_int(raw)
+    except argparse.ArgumentTypeError:
         cap = 0
     if cap < 1:
         raise ValidationError(f"JOHNSON_MAX_VERTICES must be a positive integer, got {raw!r}")
@@ -125,8 +137,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_params(p: _Parser) -> None:
-        p.add_argument("--n", type=int, required=True, help="ground-set size")
-        p.add_argument("--m", type=int, required=True, help="label size")
+        p.add_argument("--n", type=_ascii_int, required=True, help="ground-set size")
+        p.add_argument("--m", type=_ascii_int, required=True, help="label size")
 
     p = sub.add_parser("gen", help="export the graph")
     add_params(p)
@@ -166,7 +178,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check closed forms against the brute-force oracle")
     p.add_argument("--m-range", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--n-range", type=_parse_range, required=True, metavar="C..D")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_ascii_int, default=1)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -186,12 +198,11 @@ def _cmd_gen(args, out, err) -> int:
     # Refuse an over-cap graph before open() truncates the file.
     graph._check_cap(params, cap, "export")
     try:
-        sink = open(args.out, "wb")
-    except OSError as exc:
-        err.write(f"error: cannot open --out file: {exc}\n".encode())
+        with open(args.out, "wb") as sink:
+            export(params, args.format, sink, max_vertices=cap)
+    except OSError as exc:  # the open, a write or the flush at close
+        err.write(f"error: cannot write --out file: {exc}\n".encode())
         return 1
-    with sink:
-        export(params, args.format, sink, max_vertices=cap)
     return 0
 
 
@@ -336,6 +347,11 @@ def main() -> None:
         # exit cannot fail again, and exit as a shell reports SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except OSError as exc:
+        # A write to stdout failed, as on a full disk: devnull takes the rest.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.buffer.write(f"error: {exc}\n".encode())
+        code = 1
     raise SystemExit(code)
 
 

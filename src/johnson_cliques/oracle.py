@@ -19,6 +19,10 @@ colex stepper with the streams and enumerations it checks. The edge law
 compares edge_count() with the graph's own edge total and covers that graph
 with each family; the partition passes only when its parts are, in order, a
 family whose cover passed, so no part is mapped to vertices a second time.
+verify() looks up each closed form it checks in its own module at the call
+(``cliques.clique_number``, ``graph.edge_count``, ``members()`` on the
+clique's class) and binds none at import: each claim has one binding, so a
+patch applied where a claim is defined is what verify() checks.
 """
 
 from __future__ import annotations
@@ -31,17 +35,10 @@ from functools import partial
 from itertools import combinations
 from typing import Container, Iterable, Iterator
 
+from . import cliques, graph
 from .combinat import MAX_GROUND_SET, Label, binomial, colex_key
-from .cliques import (
-    MaximalClique,
-    clique_number,
-    clique_partition,
-    clique_partition_number,
-    enumerate_max_cliques,
-    enumerate_min_cliques,
-)
 from .errors import RangeError, ValidationError
-from .graph import JohnsonParams, _check_cap, _check_knob, edge_count
+from .graph import JohnsonParams, _check_cap, _check_knob
 
 #: Largest graph the oracle builds by default; every entry point reads it at the call.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -318,7 +315,7 @@ class FailedPair:
 
 
 def _covers_each_edge_once(
-    cliques: Iterable[tuple[int, ...]], g: DenseGraph, bits: list[int]
+    family: Iterable[tuple[int, ...]], g: DenseGraph, bits: list[int]
 ) -> bool:
     """Whether these cliques, each a tuple of vertex indices of ``g``, cover
     every edge of ``g`` exactly once, and no non-edge pair; ``bits[i]`` is
@@ -333,7 +330,7 @@ def _covers_each_edge_once(
     """
     cover = [0] * g.vertex_count
     pairs = 0
-    for members in cliques:
+    for members in family:
         mask = 0
         for i in members:
             mask |= bits[i]
@@ -347,14 +344,14 @@ def _covers_each_edge_once(
 
 
 def _index_tuples(
-    name: str, cliques: tuple[MaximalClique, ...], index: dict[Label, int], notes: list[str]
+    name: str, family: tuple[cliques.MaximalClique, ...], index: dict[Label, int], notes: list[str]
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Each clique's members as their sorted vertex indices by ``index``, and
     whether every member is a vertex label. A member that is not, unknown or
     unhashable, is left out of its tuple, and one note in ``notes`` names the
     first."""
     tuples, clean = [], True
-    for h in cliques:
+    for h in family:
         indices = []
         for member in h.members():
             try:
@@ -406,19 +403,19 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     index = {label: i for i, label in enumerate(labels)}
 
     # (class, cliques, k): each clique of a class is fixed by a k-set.
-    classes = [("class-min", tuple(enumerate_min_cliques(p)), m + 1)]
+    classes = [("class-min", tuple(cliques.enumerate_min_cliques(p)), m + 1)]
     if p.degenerate:
         notes.append(
             "degenerate regime (n == m+1): the graph is complete, the sole maximal "
             "clique is the class-min one, and the class-max family is inapplicable"
         )
     else:
-        classes.append(("class-max", tuple(enumerate_max_cliques(p)), m - 1))
+        classes.append(("class-max", tuple(cliques.enumerate_max_cliques(p)), m - 1))
     # Each clique as its sorted vertex indices: the sets are compared on
     # membership, and a member listed twice stays in the tuple. A family
     # that lists a member that is not a vertex label fails both checks.
     tuples, clean = zip(
-        *[_index_tuples(name, cliques, index, notes) for name, cliques, _ in classes]
+        *[_index_tuples(name, family, index, notes) for name, family, _ in classes]
     )
     families = [set(family) for family in tuples]
     closed = set().union(*families)
@@ -431,14 +428,15 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
             checks["sets_equal"] = False
             notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
 
-    checks["clique_number_ok"] = max_size == clique_number(p)
+    omega = cliques.clique_number(p)
+    checks["clique_number_ok"] = max_size == omega
     if not checks["clique_number_ok"]:
-        notes.append(f"observed maximum clique size {max_size}, formula gives {clique_number(p)}")
+        notes.append(f"observed maximum clique size {max_size}, formula gives {omega}")
     marks.append(time.perf_counter())
 
     edges = g.edge_total()
     covers = [ok and _covers_each_edge_once(family, g, bits) for family, ok in zip(tuples, clean)]
-    counted = edge_count(p)
+    counted = graph.edge_count(p)
     checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:
         notes.append(f"edge law failed: edge_count gives {counted}, the graph has {edges} edges")
@@ -446,12 +444,12 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
         notes.append("edge law failed: some edge is not in exactly one clique per class")
     marks.append(time.perf_counter())
 
-    parts = clique_partition(p).parts
+    parts = cliques.clique_partition(p).parts
     # Each edge lies in exactly one clique of each class, so the only
     # partition into cliques of one class is that class's whole family:
     # the parts must be, in order, a family whose cover passed above.
-    checks["partition_ok"] = len(parts) == clique_partition_number(p) and any(
-        ok and cliques == parts for (_, cliques, _), ok in zip(classes, covers)
+    checks["partition_ok"] = len(parts) == cliques.clique_partition_number(p) and any(
+        ok and family == parts for (_, family, _), ok in zip(classes, covers)
     )
     marks.append(time.perf_counter())
 

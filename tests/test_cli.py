@@ -31,6 +31,9 @@ from johnson_cliques.oracle import VERIFY_PHASES
 from helpers import ACCEPTANCE_PAIRS, DEGENERATE_PAIRS, colex_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails"
+)
 
 
 def run_cli(argv):
@@ -99,6 +102,14 @@ class TestGen:
         assert out == b""
         assert err.startswith(b"error: ") and err.count(b"\n") == 1
         assert not target.parent.exists()
+
+    @needs_dev_full
+    def test_failed_write_to_out_file_is_a_one_line_error(self):
+        code, out, err = run_cli(
+            ["gen", "--n", "5", "--m", "3", "--format", "dot", "--out", "/dev/full"]
+        )
+        assert (code, out) == (1, b"")
+        assert err.startswith(b"error: cannot write --out file: ") and err.count(b"\n") == 1
 
 
 class TestAdj:
@@ -507,16 +518,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_pair_whose_check_raises_is_one_failed_line(self, monkeypatch, jobs):
-        real = oracle.clique_partition
-
-        def clique_partition(p):
+        def partition_that_raises(p):
             if p == JohnsonParams(5, 3):
                 raise KeyError("boom")
-            return real(p)
+            return clique_partition(p)
 
         # The pool's workers are forked (the default start method on Linux
         # before Python 3.14), so under --jobs 2 they inherit the patch.
-        monkeypatch.setattr(oracle, "clique_partition", clique_partition)
+        monkeypatch.setattr("johnson_cliques.cliques.clique_partition", partition_that_raises)
         argv = ["verify", "--m-range", "2..4", "--n-range", "3..9", "--jobs", jobs]
         code, out, err = run_cli(argv)
         assert code == 3
@@ -609,6 +618,38 @@ class TestExitCodes:
 
     def test_non_integer_parameter(self):
         assert run_cli(["gen", "--n", "four", "--m", "2", "--format", "dot"])[0] == 1
+
+    @pytest.mark.parametrize("text", ["\u0665", "\uff15", "1_0", "+5", " 5", "5 "])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["number", "--n", "9", "--m", "3"], "--n"),
+            (["number", "--n", "9", "--m", "3"], "--m"),
+            (["verify", "--m-range", "2..2", "--n-range", "4..4", "--jobs", "1"], "--jobs"),
+        ],
+    )
+    def test_numbers_take_ascii_digits_only(self, argv, flag, text):
+        # int() reads each of these texts as 5 or 10.
+        argv = [*argv]
+        argv[argv.index(flag) + 1] = text
+        assert run_cli(argv) == (
+            1, b"", f"usage error: argument {flag}: invalid int value: {text!r}\n".encode()
+        )
+
+    @pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", "+10", " 10", "10 "])
+    def test_env_cap_takes_ascii_digits_only(self, monkeypatch, text):
+        monkeypatch.setenv("JOHNSON_MAX_VERTICES", text)
+        code, out, err = run_cli(["gen", "--n", "5", "--m", "2", "--format", "edgelist"])
+        assert (code, out) == (2, b"")
+        message = f"error: JOHNSON_MAX_VERTICES must be a positive integer, got {text!r}\n"
+        assert err == message.encode()
+
+    def test_negative_numbers_keep_their_errors(self):
+        assert run_cli(["number", "--n", "-1", "--m", "3"]) == (
+            2, b"", b"error: n must be an int of at least m+1=4, got n=-1\n"
+        )
+        argv = ["verify", "--m-range", "2..2", "--n-range", "4..4", "--jobs", "-3"]
+        assert run_cli(argv) == (1, b"", b"usage error: --jobs must be at least 1, got -3\n")
 
     def test_invalid_parameters_are_validation_errors(self):
         assert run_cli(["number", "--n", "4", "--m", "1"])[0] == 2
@@ -769,6 +810,23 @@ class TestModuleEntryPoint:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv",
+        [["number", "--n", "5", "--m", "3"], ["gen", "--n", "9", "--m", "4", "--format", "dot"]],
+    )
+    def test_failed_write_to_stdout_is_a_one_line_error(self, argv):
+        # The first output fits in stdout's buffer and fails at run()'s
+        # flush; the second fails at a write. Either way the flush at exit
+        # finds devnull and cannot fail again.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "johnson_cliques", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_buffered_env(), timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
     def test_argument_that_is_not_utf8_gets_no_traceback(self):
         proc = subprocess.run(

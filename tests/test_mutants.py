@@ -1,0 +1,124 @@
+"""The one-line mutants that score ``verify``, one row each.
+
+Each row patches one closed form in the module (or class) that defines it,
+runs verify_range over the acceptance range (m 2..4, n 3..9: 18 pairs) and
+asserts how many pairs fail and which report keys turn false on them. A
+mutant that ``verify`` misses today is a strict xfail that names the
+ROADMAP item whose check flips it; such a row asks only that some pair
+fails. When the item lands, the row XPASSes: its mark goes, and the row
+gets its count and keys. Each row also shows that its mutant changes the
+patched function's output at some acceptance pair, so no row can pass
+with a mutant that changes nothing.
+"""
+
+import dataclasses
+from typing import Callable, NamedTuple
+
+import pytest
+
+import johnson_cliques.cliques as cliques
+import johnson_cliques.combinat as combinat
+import johnson_cliques.graph as graph
+from johnson_cliques import (
+    ClassificationKind,
+    Clique,
+    CliqueClass,
+    JohnsonParams,
+    MaximalClique,
+    VerificationReport,
+    verify_range,
+)
+
+PAIRS = [JohnsonParams(n, m) for m in range(2, 5) for n in range(m + 1, 10)]
+SWAP = {CliqueClass.MIN: CliqueClass.MAX, CliqueClass.MAX: CliqueClass.MIN}
+
+
+def _low(p):
+    """The label {1..m}, rank 0."""
+    return tuple(range(1, p.m + 1))
+
+
+def _edge(p):
+    """The clique of {1..m} and {2..m+1}, which share m-1 elements."""
+    return Clique.from_labels([_low(p), _low(p)[1:] + (p.m + 1,)], p)
+
+
+class Mutant(NamedTuple):
+    owner: object  # the module or class that defines the function
+    name: str
+    mutate: Callable  # the real function -> the mutant
+    probe: Callable  # p -> an output of the function, read through its owner
+    failing: int | None = None  # pairs that fail verify; None: at least one
+    keys: frozenset = frozenset()  # the report keys false on those pairs
+
+
+def _row(mutant: Mutant, item: int | None = None):
+    marks = ()
+    if item is not None:
+        marks = pytest.mark.xfail(strict=True, reason=f"verify misses it until item {item}")
+    owner = mutant.owner.__name__.rpartition(".")[2]
+    return pytest.param(mutant, marks=marks, id=f"{owner}.{mutant.name}")
+
+
+ROWS = [
+    _row(Mutant(
+        graph, "edge_count",
+        lambda real: lambda p: real(p) + 1,
+        lambda p: graph.edge_count(p),
+        18, frozenset({"edge_law_ok"}),
+    )),
+    _row(Mutant(
+        MaximalClique, "members",
+        lambda real: lambda h: real(h)[:-1],
+        lambda p: next(cliques.enumerate_min_cliques(p)).members(),
+        18, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
+    )),
+    _row(Mutant(
+        cliques, "clique_number",
+        lambda real: lambda p: p.m + 1,
+        lambda p: cliques.clique_number(p),
+        9, frozenset({"clique_number_ok"}),
+    )),
+    _row(Mutant(
+        cliques, "_partition_class",
+        lambda real: lambda p: SWAP[real(p)] if p.m + 2 <= p.n != 2 * p.m else real(p),
+        lambda p: cliques._partition_class(p),
+    ), item=1),
+    _row(Mutant(
+        graph, "neighbors",
+        lambda real: lambda u, p: real(u, p)[:-1],
+        lambda p: graph.neighbors(_low(p), p),
+    ), item=2),
+    _row(Mutant(
+        graph, "_swap_walk",
+        lambda real: lambda p: (lambda labels, walk: (labels[:-1], walk))(*real(p)),
+        lambda p: graph._swap_walk(p)[0],
+    ), item=2),
+    _row(Mutant(
+        combinat, "rank",
+        lambda real: lambda label, n: real(label, n) + 1,
+        lambda p: combinat.rank(_low(p), p.n),
+    ), item=2),
+    _row(Mutant(
+        cliques, "classify",
+        lambda real: lambda c: dataclasses.replace(real(c), kind=ClassificationKind.UNIQUE_MIN),
+        lambda p: cliques.classify(_edge(p)).kind,
+    ), item=3),
+]
+
+
+@pytest.mark.parametrize("mutant", ROWS)
+def test_verify_fails_the_mutant(monkeypatch, mutant):
+    before = [mutant.probe(p) for p in PAIRS]
+    real = getattr(mutant.owner, mutant.name)
+    monkeypatch.setattr(mutant.owner, mutant.name, mutant.mutate(real))
+    assert [mutant.probe(p) for p in PAIRS] != before, "the mutant changes no output"
+    reports = list(verify_range(range(2, 5), range(3, 10), jobs=1))
+    assert [r.params for r in reports] == PAIRS
+    assert all(isinstance(r, VerificationReport) for r in reports)
+    failed = [r for r in reports if not r.passed]
+    if mutant.failing is None:
+        assert failed
+        return
+    assert len(failed) == mutant.failing
+    assert {key for r in failed for key, ok in r.checks.items() if not ok} == mutant.keys

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import johnson_cliques
 import johnson_cliques.combinat as combinat
 import johnson_cliques.oracle as oracle
 from johnson_cliques import (
@@ -522,7 +523,7 @@ class TestVerify:
     def test_partition_coverage_checked_edge_by_edge(self, monkeypatch, breaking):
         # J(5,3) is partitioned by its class-max family.
         broken = CliquePartition(breaking(clique_partition(JohnsonParams(5, 3)).parts))
-        monkeypatch.setattr(oracle, "clique_partition", lambda p: broken)
+        monkeypatch.setattr("johnson_cliques.cliques.clique_partition", lambda p: broken)
         report = verify(JohnsonParams(5, 3))
         assert not report.checks["partition_ok"]
         assert not report.passed
@@ -530,7 +531,7 @@ class TestVerify:
     def test_wrong_edge_count_fails_only_the_edge_law(self, monkeypatch):
         # The partition is judged by the family covers, not by edge_count().
         # Every family cover passes, so the one note names the count alone.
-        monkeypatch.setattr(oracle, "edge_count", lambda p: edge_count(p) + 1)
+        monkeypatch.setattr("johnson_cliques.graph.edge_count", lambda p: edge_count(p) + 1)
         report = verify(JohnsonParams(5, 3))
         assert not report.checks["edge_law_ok"]
         assert report.notes == ("edge law failed: edge_count gives 31, the graph has 30 edges",)
@@ -546,8 +547,9 @@ class TestVerify:
         ids=["enumerate_min_cliques", "enumerate_max_cliques"],
     )
     def test_dropped_clique_is_reported(self, monkeypatch, family, note):
-        real = getattr(oracle, family)
-        monkeypatch.setattr(oracle, family, lambda p: list(real(p))[1:])
+        real = getattr(johnson_cliques, family)
+        patched = f"johnson_cliques.cliques.{family}"
+        monkeypatch.setattr(patched, lambda p: list(real(p))[1:])
         report = verify(JohnsonParams(5, 3))
         assert not report.checks["sets_equal"]
         assert not report.checks["edge_law_ok"]
@@ -558,8 +560,9 @@ class TestVerify:
     def test_duplicated_clique_is_reported(self, monkeypatch, family):
         # The duplicate leaves the set of cliques and its size unchanged;
         # only the edge law sees that its edges are covered twice.
-        real = getattr(oracle, family)
-        monkeypatch.setattr(oracle, family, lambda p: [*real(p), next(real(p))])
+        real = getattr(johnson_cliques, family)
+        patched = f"johnson_cliques.cliques.{family}"
+        monkeypatch.setattr(patched, lambda p: [*real(p), next(real(p))])
         report = verify(JohnsonParams(5, 3))
         assert report.checks["sets_equal"]
         assert not report.checks["edge_law_ok"]
@@ -567,8 +570,8 @@ class TestVerify:
         assert report.notes == ("edge law failed: some edge is not in exactly one clique per class",)
 
     def test_wrong_clique_number_is_reported(self, monkeypatch):
-        real = oracle.clique_number
-        monkeypatch.setattr(oracle, "clique_number", lambda p: real(p) + 1)
+        real = johnson_cliques.clique_number
+        monkeypatch.setattr("johnson_cliques.cliques.clique_number", lambda p: real(p) + 1)
         report = verify(JohnsonParams(5, 3))
         assert report.to_dict()["clique_number_ok"] is False
         assert not report.passed
@@ -577,7 +580,7 @@ class TestVerify:
     def test_overlapping_families_are_reported(self, monkeypatch):
         # The class-max family replaced by the class-min one: the two
         # overlap, and the class-max count is C(5,4), not C(5,2).
-        monkeypatch.setattr(oracle, "enumerate_max_cliques", oracle.enumerate_min_cliques)
+        monkeypatch.setattr("johnson_cliques.cliques.enumerate_max_cliques", enumerate_min_cliques)
         report = verify(JohnsonParams(5, 3))
         assert report.to_dict()["sets_equal"] is False
         assert not report.passed
@@ -916,3 +919,29 @@ def test_oracle_reaches_none_of_the_code_it_checks():
             names.add(node.attr)
     assert {"combinations", "colex_key", "bit_count"} <= names
     assert not names & CHECKED_CODE, sorted(names & CHECKED_CODE)
+
+
+# The closed forms verify() checks, by the module that defines each.
+CHECKED_CLOSED_FORMS = {
+    ("cliques", "enumerate_min_cliques"),
+    ("cliques", "enumerate_max_cliques"),
+    ("cliques", "clique_number"),
+    ("cliques", "clique_partition"),
+    ("cliques", "clique_partition_number"),
+    ("graph", "edge_count"),
+}
+
+
+def test_oracle_looks_each_closed_form_up_in_its_own_module():
+    # An import binds a second name for a claim, which a patch applied where
+    # the claim is defined never reaches; a module attribute is read at the call.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.add((node.value.id, node.attr))
+    assert not imported & {name for _, name in CHECKED_CLOSED_FORMS}
+    assert {"cliques", "graph"} <= imported
+    assert CHECKED_CLOSED_FORMS <= read, sorted(CHECKED_CLOSED_FORMS - read)
