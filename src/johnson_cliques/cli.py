@@ -19,22 +19,8 @@ import time
 from functools import cache, partial
 from typing import BinaryIO, Iterator
 
-from . import graph, oracle
-from .cliques import (
-    Clique,
-    ClassificationKind,
-    CliqueClass,
-    _class_shape,
-    _partition_class,
-    classify,
-    clique_number,
-    clique_partition_number,
-    extend_to_maximal,
-)
-from .combinat import _CHUNK_LINES, MAX_GROUND_SET, _colex_runs, parse_label, validate_label
+from . import cliques, combinat, graph, oracle
 from .errors import ValidationError
-from .graph import JohnsonParams, are_adjacent, export
-from .oracle import FailedPair, SkippedPair, verify_range
 
 _RANGE_RE = re.compile(r"(\d+)\.\.(\d+)\Z", re.ASCII)
 _INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
@@ -66,10 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> range:
     match = _RANGE_RE.match(text)
-    if match is None:
-        raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    return range(lo, hi + 1)
+    if match:
+        try:
+            return range(int(match.group(1)), int(match.group(2)) + 1)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"expected a range like 2..4, got {text!r}")
 
 
 def _ascii_int(text: str) -> int:
@@ -100,7 +88,9 @@ def _env_cap(default: int) -> int:
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: bytes) -> Iterator[bytes]:
+def _family_chunks(
+    p: graph.JohnsonParams, kinds: list[cliques.CliqueClass], sep: bytes
+) -> Iterator[bytes]:
     """The bytes of ``_dumps(h.to_dict())`` for each clique h of the
     families of ``kinds``, one family after the other, each in colex order
     of the defining sets, joined by ``sep``: as byte strings of whole runs
@@ -114,14 +104,14 @@ def _family_chunks(p: JohnsonParams, kinds: list[CliqueClass], sep: bytes) -> It
     n = p.n
     chunk, lines = [], 0
     for kind in kinds:
-        k, size = _class_shape(p, kind)
+        k, size = cliques._class_shape(p, kind)
         head = f'{{"class":"{kind.value}","set":['
         heads = [f"{head}{e}".encode() for e in range(n + 1)]
         elements = [f",{e}".encode() for e in range(n + 1)]
         tail = f'],"n":{n},"m":{p.m},"size":{size}}}'.encode()
-        for prefixes, rest in _colex_runs(n, k, heads, elements, tail):
+        for prefixes, rest in combinat._colex_runs(n, k, heads, elements, tail):
             count = len(prefixes)
-            if lines + count > _CHUNK_LINES:
+            if lines + count > combinat._CHUNK_LINES:
                 yield sep.join(chunk)
                 chunk, lines = [b""], 0
             chunk.append((rest + sep).join(prefixes) + rest)
@@ -190,16 +180,16 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args, out, err) -> int:
-    params = JohnsonParams(args.n, args.m)
+    params = graph.JohnsonParams(args.n, args.m)
     cap = _env_cap(graph.DEFAULT_EXPORT_CAP)
     if not args.out:
-        export(params, args.format, out, max_vertices=cap)
+        graph.export(params, args.format, out, max_vertices=cap)
         return 0
     # Refuse an over-cap graph before open() truncates the file.
     graph._check_cap(params, cap, "export")
     try:
         with open(args.out, "wb") as sink:
-            export(params, args.format, sink, max_vertices=cap)
+            graph.export(params, args.format, sink, max_vertices=cap)
     except OSError as exc:  # the open, a write or the flush at close
         err.write(f"error: cannot write --out file: {exc}\n".encode())
         return 1
@@ -207,40 +197,40 @@ def _cmd_gen(args, out, err) -> int:
 
 
 def _cmd_adj(args, out, err) -> int:
-    params = JohnsonParams(args.n, args.m)
-    u, v = (parse_label(text) for text in args.labels)
-    validate_label(u, params.n, params.m)
-    validate_label(v, params.n, params.m)
-    out.write(b"true\n" if are_adjacent(u, v) else b"false\n")
+    params = graph.JohnsonParams(args.n, args.m)
+    u, v = (combinat.parse_label(text) for text in args.labels)
+    combinat.validate_label(u, params.n, params.m)
+    combinat.validate_label(v, params.n, params.m)
+    out.write(b"true\n" if graph.are_adjacent(u, v) else b"false\n")
     return 0
 
 
 def _cmd_cliques(args, out, err) -> int:
-    params = JohnsonParams(args.n, args.m)
+    params = graph.JohnsonParams(args.n, args.m)
     if args.clique_class != "all":
-        kinds = [CliqueClass(args.clique_class)]
+        kinds = [cliques.CliqueClass(args.clique_class)]
     elif params.degenerate:
         # "all" lists the graph's actual maximal cliques, which in the
         # degenerate regime is the class-min family alone.
-        kinds = [CliqueClass.MIN]
+        kinds = [cliques.CliqueClass.MIN]
     else:
-        kinds = [CliqueClass.MIN, CliqueClass.MAX]
+        kinds = [cliques.CliqueClass.MIN, cliques.CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
     out.writelines(_family_chunks(params, kinds, b"\n"))
     out.write(b"\n")
     return 0
 
 
-def _parse_clique(args) -> Clique:
-    params = JohnsonParams(args.n, args.m)
-    return Clique.from_labels((parse_label(text) for text in args.labels), params)
+def _parse_clique(args) -> cliques.Clique:
+    params = graph.JohnsonParams(args.n, args.m)
+    return cliques.Clique.from_labels((combinat.parse_label(text) for text in args.labels), params)
 
 
 def _cmd_classify(args, out, err) -> int:
-    result = classify(_parse_clique(args))
-    if result.kind is ClassificationKind.SINGLETON:
+    result = cliques.classify(_parse_clique(args))
+    if result.kind is cliques.ClassificationKind.SINGLETON:
         payload = {"kind": result.kind.value}
-    elif result.kind is ClassificationKind.EDGE_BOTH:
+    elif result.kind is cliques.ClassificationKind.EDGE_BOTH:
         h_min, h_max = result.extensions
         payload = {"kind": result.kind.value, "min": h_min.to_dict(), "max": h_max.to_dict()}
     else:
@@ -250,26 +240,26 @@ def _cmd_classify(args, out, err) -> int:
 
 
 def _cmd_extend(args, out, err) -> int:
-    extensions = extend_to_maximal(_parse_clique(args))
+    extensions = cliques.extend_to_maximal(_parse_clique(args))
     out.write(_dumps([h.to_dict() for h in extensions]).encode() + b"\n")
     return 0
 
 
 def _cmd_partition(args, out, err) -> int:
-    params = JohnsonParams(args.n, args.m)
-    out.write(f'{{"cp":{clique_partition_number(params)},"parts":['.encode())
-    out.writelines(_family_chunks(params, [_partition_class(params)], b","))
+    params = graph.JohnsonParams(args.n, args.m)
+    out.write(f'{{"cp":{cliques.clique_partition_number(params)},"parts":['.encode())
+    out.writelines(_family_chunks(params, [cliques._partition_class(params)], b","))
     out.write(b"]}\n")
     return 0
 
 
 def _cmd_number(args, out, err) -> int:
-    params = JohnsonParams(args.n, args.m)
+    params = graph.JohnsonParams(args.n, args.m)
     payload = {
         "n": params.n,
         "m": params.m,
-        "clique_number": clique_number(params),
-        "clique_partition_number": clique_partition_number(params),
+        "clique_number": cliques.clique_number(params),
+        "clique_partition_number": cliques.clique_partition_number(params),
         "degenerate": params.degenerate,
     }
     out.write(_dumps(payload).encode() + b"\n")
@@ -283,13 +273,13 @@ def _cmd_verify(args, out, err) -> int:
     start = time.perf_counter()
     total = passed = skipped = 0
     summed = 0.0
-    for result in verify_range(args.m_range, args.n_range, jobs=args.jobs, max_vertices=cap):
+    for result in oracle.verify_range(args.m_range, args.n_range, jobs=args.jobs, max_vertices=cap):
         out.write(_dumps(result.to_dict()).encode() + b"\n")
         total += 1
-        if isinstance(result, SkippedPair):
+        if isinstance(result, oracle.SkippedPair):
             skipped += 1
             continue
-        if isinstance(result, FailedPair):
+        if isinstance(result, oracle.FailedPair):
             err.write(result.trace.encode(errors="backslashreplace"))
             continue
         passed += result.passed
@@ -304,7 +294,7 @@ def _cmd_verify(args, out, err) -> int:
     if not total:
         raise _UsageError(
             f"--m-range and --n-range yield no valid (n, m) pair "
-            f"(need m >= 2 and m+1 <= n <= {MAX_GROUND_SET})"
+            f"(need m >= 2 and m+1 <= n <= {combinat.MAX_GROUND_SET})"
         )
     note = f"; {skipped} skipped over the materialization cap {cap}" if skipped else ""
     err.write(

@@ -32,18 +32,8 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .combinat import (
-    Label,
-    _insertions,
-    _sorted_label,
-    binomial,
-    colex_key,
-    iter_subsets_colex,
-    make_label,
-    validate_label,
-)
+from . import combinat, graph
 from .errors import RegimeError, ValidationError
-from .graph import JohnsonParams, _check_params
 
 
 class CliqueClass(str, Enum):
@@ -69,27 +59,27 @@ class MaximalClique:
     class ``max``. Class ``max`` requires the non-degenerate regime n >= m+2.
     """
 
-    params: JohnsonParams
+    params: graph.JohnsonParams
     kind: CliqueClass
-    defining_set: Label
+    defining_set: combinat.Label
 
     def __post_init__(self) -> None:
         p = self.params
-        _check_params(p)
-        validate_label(self.defining_set, p.n, _class_shape(p, self.kind)[0])
+        graph._check_params(p)
+        combinat.validate_label(self.defining_set, p.n, _class_shape(p, self.kind)[0])
 
     @property
     def size(self) -> int:
         """Number of members: m+1 for class min, n-m+1 for class max."""
         return _class_shape(self.params, self.kind)[1]
 
-    def members(self) -> tuple[Label, ...]:
+    def members(self) -> tuple[combinat.Label, ...]:
         """The member labels, in colex order."""
         if self.kind is CliqueClass.MIN:
             # combinations() over the sorted B is already colex: both orders
             # go by the omitted element, largest first.
             return tuple(combinations(self.defining_set, self.params.m))
-        gaps = _insertions(self.defining_set, self.params.n)
+        gaps = combinat._insertions(self.defining_set, self.params.n)
         return tuple([head + (y,) + tail for _, head, tail, ys in gaps for y in ys])
 
     def to_dict(self) -> dict:
@@ -106,23 +96,23 @@ class MaximalClique:
 class Clique:
     """A clique of J_n(m, m-1): distinct, pairwise-adjacent m-subsets of {1..n}."""
 
-    params: JohnsonParams
-    members: tuple[Label, ...]
+    params: graph.JohnsonParams
+    members: tuple[combinat.Label, ...]
 
     def __post_init__(self) -> None:
-        _check_params(self.params)
+        graph._check_params(self.params)
         if not isinstance(self.members, tuple):
             raise ValidationError(f"clique members must be a tuple of labels, got {self.members!r}")
         for lab in self.members:
-            validate_label(lab, self.params.n, self.params.m)
+            combinat.validate_label(lab, self.params.n, self.params.m)
         if not _forms_clique(self.members):
             raise ValidationError(f"labels {self.members} are not adjacent pairwise; not a clique")
 
     @classmethod
-    def from_labels(cls, labels: Iterable[Label], params: JohnsonParams) -> "Clique":
+    def from_labels(cls, labels: Iterable[combinat.Label], params: graph.JohnsonParams) -> "Clique":
         """The clique on ``labels``, each sorted, members in colex order."""
         try:
-            members = tuple(sorted(map(_sorted_label, labels), key=colex_key))
+            members = tuple(sorted(map(combinat._sorted_label, labels), key=combinat.colex_key))
         except TypeError:
             raise ValidationError(f"expected an iterable of labels of ints, got {labels!r}") from None
         return cls(params, members)
@@ -155,13 +145,13 @@ class CliquePartition:
         return {"cp": len(self.parts), "parts": [h.to_dict() for h in self.parts]}
 
 
-def _span(first: Label, *rest: Label) -> tuple[set[int], set[int]]:
+def _span(first: combinat.Label, *rest: combinat.Label) -> tuple[set[int], set[int]]:
     """The union and the intersection of the labels, as sets."""
     union = set(first)
     return union.union(*rest), union.intersection(*rest)
 
 
-def _forms_clique(members: tuple[Label, ...]) -> bool:
+def _forms_clique(members: tuple[combinat.Label, ...]) -> bool:
     """Whether same-size labels are distinct and pairwise adjacent.
 
     Raises ValidationError for no labels, labels of mixed sizes or a repeated
@@ -185,9 +175,9 @@ def _forms_clique(members: tuple[Label, ...]) -> bool:
     )
 
 
-def _normalized(labels: Iterable[Label]) -> tuple[Label, ...]:
+def _normalized(labels: Iterable[combinat.Label]) -> tuple[combinat.Label, ...]:
     try:
-        members = tuple(map(make_label, labels))
+        members = tuple(map(combinat.make_label, labels))
     except TypeError:
         raise ValidationError(f"expected an iterable of labels of ints, got {labels!r}") from None
     if not members:
@@ -195,17 +185,17 @@ def _normalized(labels: Iterable[Label]) -> tuple[Label, ...]:
     return members
 
 
-def is_clique(labels: Iterable[Label]) -> bool:
+def is_clique(labels: Iterable[combinat.Label]) -> bool:
     """True when the labels are pairwise adjacent (all same size, distinct)."""
     return _forms_clique(_normalized(labels))
 
 
-def intersection_of(labels: Iterable[Label]) -> Label:
+def intersection_of(labels: Iterable[combinat.Label]) -> combinat.Label:
     """Sorted intersection of all labels; input must be non-empty."""
     return tuple(sorted(_span(*_normalized(labels))[1]))
 
 
-def union_of(labels: Iterable[Label]) -> Label:
+def union_of(labels: Iterable[combinat.Label]) -> combinat.Label:
     """Sorted union of all labels; input must be non-empty."""
     return tuple(sorted(_span(*_normalized(labels))[0]))
 
@@ -255,7 +245,7 @@ def extend_to_maximal(c: Clique) -> tuple[MaximalClique, ...]:
     return result.extensions
 
 
-def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
+def _class_shape(p: graph.JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
     """(defining-set size, member count) of the class-``kind`` cliques:
     (m+1, m+1) for class min, (m-1, n-m+1) for class max.
 
@@ -274,7 +264,7 @@ def _class_shape(p: JohnsonParams, kind: CliqueClass) -> tuple[int, int]:
     return p.m - 1, p.n - p.m + 1
 
 
-def _trusted(p: JohnsonParams, kind: CliqueClass, s: Label) -> MaximalClique:
+def _trusted(p: graph.JohnsonParams, kind: CliqueClass, s: combinat.Label) -> MaximalClique:
     """The class-``kind`` clique on ``s``, skipping __post_init__: callers pass
     only sets they generated or derived from validated labels."""
     h = object.__new__(MaximalClique)
@@ -282,47 +272,47 @@ def _trusted(p: JohnsonParams, kind: CliqueClass, s: Label) -> MaximalClique:
     return h
 
 
-def _family(p: JohnsonParams, kind: CliqueClass, k: int) -> Iterator[MaximalClique]:
+def _family(p: graph.JohnsonParams, kind: CliqueClass, k: int) -> Iterator[MaximalClique]:
     # iter_subsets_colex makes only valid k-subsets of {1..n}.
-    return (_trusted(p, kind, s) for s in iter_subsets_colex(p.n, k))
+    return (_trusted(p, kind, s) for s in combinat.iter_subsets_colex(p.n, k))
 
 
-def enumerate_min_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
+def enumerate_min_cliques(p: graph.JohnsonParams) -> Iterator[MaximalClique]:
     """One class-min clique per (m+1)-subset B of {1..n}, in colex order of B."""
-    _check_params(p)
+    graph._check_params(p)
     return _family(p, CliqueClass.MIN, p.m + 1)
 
 
-def enumerate_max_cliques(p: JohnsonParams) -> Iterator[MaximalClique]:
+def enumerate_max_cliques(p: graph.JohnsonParams) -> Iterator[MaximalClique]:
     """One class-max clique per (m-1)-subset A of {1..n}, in colex order of A.
 
     Rejects the degenerate regime n == m+1, where these candidates are not
     maximal.
     """
-    _check_params(p)
+    graph._check_params(p)
     return _family(p, CliqueClass.MAX, _class_shape(p, CliqueClass.MAX)[0])
 
 
-def clique_number(p: JohnsonParams) -> int:
+def clique_number(p: graph.JohnsonParams) -> int:
     """Size of a largest clique: max(m+1, n-m+1)."""
-    _check_params(p)
+    graph._check_params(p)
     return max(p.m + 1, p.n - p.m + 1)
 
 
-def clique_partition_number(p: JohnsonParams) -> int:
+def clique_partition_number(p: graph.JohnsonParams) -> int:
     """Number of parts in the edge partition built by clique_partition:
     C(n, m-1) when m+2 <= n < 2m, else C(n, m+1), which is 1 at n == m+1."""
-    _check_params(p)
-    return binomial(p.n, _class_shape(p, _partition_class(p))[0])
+    graph._check_params(p)
+    return combinat.binomial(p.n, _class_shape(p, _partition_class(p))[0])
 
 
-def _partition_class(p: JohnsonParams) -> CliqueClass:
+def _partition_class(p: graph.JohnsonParams) -> CliqueClass:
     """The class whose family partitions the edges in clique_partition:
     class max when m+2 <= n < 2m, class min otherwise."""
     return CliqueClass.MAX if p.m + 2 <= p.n < 2 * p.m else CliqueClass.MIN
 
 
-def clique_partition(p: JohnsonParams) -> CliquePartition:
+def clique_partition(p: graph.JohnsonParams) -> CliquePartition:
     """Partition the edge set into maximal cliques of a single class.
 
     Uses the class-max family when m+2 <= n < 2m and the class-min family
@@ -331,6 +321,6 @@ def clique_partition(p: JohnsonParams) -> CliquePartition:
     clique of each class, so a whole family is an edge partition;
     oracle.verify() checks it edge by edge.
     """
-    _check_params(p)
+    graph._check_params(p)
     kind = _partition_class(p)
     return CliquePartition(tuple(_family(p, kind, _class_shape(p, kind)[0])))

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .combinat import (
-    MAX_GROUND_SET,
-    Label,
-    binomial,
-    _colex_runs,
-    _insertions,
-    colex_key,
-    validate_label,
-)
+from . import combinat
 from .errors import RangeError, ValidationError
 
 #: Largest graph edges() and export() list by default; read at each call.
@@ -57,7 +49,7 @@ class JohnsonParams:
             raise ValidationError(f"m must be an int of at least 2, got m={self.m!r}")
         if type(self.n) is not int or self.n < self.m + 1:
             raise ValidationError(f"n must be an int of at least m+1={self.m + 1}, got n={self.n!r}")
-        binomial(self.n, self.m)  # binomial owns the n <= MAX_GROUND_SET rule
+        combinat.binomial(self.n, self.m)  # binomial owns the n <= MAX_GROUND_SET rule
 
     @property
     def degenerate(self) -> bool:
@@ -76,13 +68,13 @@ class Edge:
     """An undirected edge between two adjacent labels; endpoints are stored
     colex-smaller first."""
 
-    u: Label
-    v: Label
+    u: combinat.Label
+    v: combinat.Label
 
     def __post_init__(self) -> None:
         if not are_adjacent(self.u, self.v):
             raise ValidationError(f"{self.u} and {self.v} are not adjacent")
-        if colex_key(self.u) > colex_key(self.v):
+        if combinat.colex_key(self.u) > combinat.colex_key(self.v):
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
@@ -91,23 +83,23 @@ class Edge:
 def vertex_count(p: JohnsonParams) -> int:
     """Number of vertices, C(n, m)."""
     _check_params(p)
-    return binomial(p.n, p.m)
+    return combinat.binomial(p.n, p.m)
 
 
 def edge_count(p: JohnsonParams) -> int:
     """Number of undirected edges, C(n, m) * m * (n - m) / 2."""
     _check_params(p)
-    return binomial(p.n, p.m) * p.m * (p.n - p.m) // 2
+    return combinat.binomial(p.n, p.m) * p.m * (p.n - p.m) // 2
 
 
-def are_adjacent(u: Label, v: Label) -> bool:
+def are_adjacent(u: combinat.Label, v: combinat.Label) -> bool:
     """True when the two labels differ by exactly one element swap."""
-    validate_label(u, MAX_GROUND_SET)
-    validate_label(v, MAX_GROUND_SET, len(u))
+    combinat.validate_label(u, combinat.MAX_GROUND_SET)
+    combinat.validate_label(v, combinat.MAX_GROUND_SET, len(u))
     return len(set(u) & set(v)) == len(u) - 1
 
 
-def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
+def neighbors(u: combinat.Label, p: JohnsonParams) -> list[combinat.Label]:
     """The m*(n-m) labels adjacent to ``u``, in colex order.
 
     Each edge {u, v} lies in one class-min clique, the m-subsets of u | v,
@@ -118,9 +110,9 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     ascending (x the element dropped), and the rows after it follow. No sort.
     """
     _check_params(p)
-    validate_label(u, p.n, p.m)
+    combinat.validate_label(u, p.n, p.m)
     m, lows, highs = len(u), [], []
-    for k, head, tail, ys in _insertions(u, p.n):
+    for k, head, tail, ys in combinat._insertions(u, p.n):
         cut = m - k
         for y in ys:
             rows = list(combinations(head + (y,) + tail, m))
@@ -130,7 +122,7 @@ def neighbors(u: Label, p: JohnsonParams) -> list[Label]:
     return [*filter(None, chain.from_iterable(zip_longest(*lows))), *highs]
 
 
-def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Callable[[Iterable], Iterator[list]]]:
+def _swap_walk(p: JohnsonParams) -> tuple[list[combinat.Label], Callable[[Iterable], Iterator[list]]]:
     """The labels in colex order, and the walk: given one value per label,
     in that order, it lazily yields each vertex's later neighbours' values,
     for vertex i those of its neighbours j > i, in order of j ascending.
@@ -173,10 +165,11 @@ def _swap_walk(p: JohnsonParams) -> tuple[list[Label], Callable[[Iterable], Iter
 def _colex_values(p: JohnsonParams, firsts: list, others: list, tail) -> list:
     """The value of each m-subset of {1..n}, in colex order, built as
     combinat._colex_runs() says from ``firsts``, ``others`` and ``tail``."""
-    return [q + rest for prefixes, rest in _colex_runs(p.n, p.m, firsts, others, tail) for q in prefixes]
+    runs = combinat._colex_runs(p.n, p.m, firsts, others, tail)
+    return [q + rest for prefixes, rest in runs for q in prefixes]
 
 
-def edges(p: JohnsonParams) -> Iterator[tuple[Label, Label]]:
+def edges(p: JohnsonParams) -> Iterator[tuple[combinat.Label, combinat.Label]]:
     """All edges exactly once as (u, v) label pairs, sorted by (colex rank
     of u, colex rank of v).
 
@@ -196,7 +189,7 @@ def _check_cap(p: JohnsonParams, max_vertices: int, cap: str) -> None:
     ``cap``)."""
     _check_params(p)
     _check_knob("max_vertices", max_vertices)
-    nv = binomial(p.n, p.m)
+    nv = combinat.binomial(p.n, p.m)
     if nv > max_vertices:
         raise RangeError(f"graph has {nv} vertices, above the {cap} cap {max_vertices}")
 

@@ -35,10 +35,8 @@ from functools import partial
 from itertools import combinations
 from typing import Container, Iterable, Iterator
 
-from . import cliques, graph
-from .combinat import MAX_GROUND_SET, Label, binomial, colex_key
+from . import cliques, combinat, graph
 from .errors import RangeError, ValidationError
-from .graph import JohnsonParams, _check_cap, _check_knob
 
 #: Largest graph the oracle builds by default; every entry point reads it at the call.
 DEFAULT_MATERIALIZE_CAP = 2000
@@ -103,28 +101,28 @@ class DenseGraph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def materialize(p: JohnsonParams, max_vertices: int | None = None) -> DenseGraph:
+def materialize(p: graph.JohnsonParams, max_vertices: int | None = None) -> DenseGraph:
     """Build the explicit graph; vertex i carries the label of colex rank i.
     The cap is ``max_vertices``, or DEFAULT_MATERIALIZE_CAP read at the call."""
     return _build(p, max_vertices)[1]
 
 
-def _build(p: JohnsonParams, cap: int | None) -> tuple[list[Label], DenseGraph]:
+def _build(p: graph.JohnsonParams, cap: int | None) -> tuple[list[combinat.Label], DenseGraph]:
     """The labels in colex order, every m-combination sorted by the
     reversed tuple, and the graph whose vertex i is labels[i], with
     _definition_rows() as its rows."""
-    _check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
-    labels = sorted(combinations(range(1, p.n + 1), p.m), key=colex_key)
+    graph._check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
+    labels = sorted(combinations(range(1, p.n + 1), p.m), key=combinat.colex_key)
     return labels, DenseGraph(_definition_rows(labels))
 
 
-def _definition_rows(labels: list[Label]) -> tuple[int, ...]:
+def _definition_rows(labels: list[combinat.Label]) -> tuple[int, ...]:
     """Adjacency rows of ``labels``, any list of labels of one size m, from
     the definition: row i holds every other label that shares m-1 elements
     with labels[i]. Each (m-1)-subset of a label keys the mask of the labels
     that hold it, and row i is the OR of the masks of the m subsets of
     labels[i], with bit i cleared."""
-    holders: dict[Label, int] = {}
+    holders: dict[combinat.Label, int] = {}
     for i, label in enumerate(labels):
         for key in combinations(label, len(label) - 1):
             holders[key] = holders.get(key, 0) | (1 << i)
@@ -261,7 +259,7 @@ class VerificationReport:
     (expand_calls) and cliques found.
     """
 
-    params: JohnsonParams
+    params: graph.JohnsonParams
     oracle_clique_count: int
     closed_form_count: int
     checks: dict[str, bool]
@@ -294,7 +292,7 @@ class VerificationReport:
 class SkippedPair:
     """A pair that a sweep did not verify, and why."""
 
-    params: JohnsonParams
+    params: graph.JohnsonParams
     reason: str
 
     def to_dict(self) -> dict:
@@ -306,7 +304,7 @@ class FailedPair:
     """A pair whose check raised; ``error`` is the exception's type and text,
     and ``trace`` its traceback, which the report line leaves out."""
 
-    params: JohnsonParams
+    params: graph.JohnsonParams
     error: str
     trace: str
 
@@ -344,7 +342,10 @@ def _covers_each_edge_once(
 
 
 def _index_tuples(
-    name: str, family: tuple[cliques.MaximalClique, ...], index: dict[Label, int], notes: list[str]
+    name: str,
+    family: tuple[cliques.MaximalClique, ...],
+    index: dict[combinat.Label, int],
+    notes: list[str],
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Each clique's members as their sorted vertex indices by ``index``, and
     whether every member is a vertex label. A member that is not, unknown or
@@ -364,7 +365,7 @@ def _index_tuples(
     return tuples, clean
 
 
-def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
+def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
     """Run every closed-form claim for one (n, m) against the oracle. The
     cap is materialize()'s: ``max_vertices``, or the default read at the call."""
     marks = [time.perf_counter()]
@@ -424,7 +425,7 @@ def verify(p: JohnsonParams, max_vertices: int | None = None) -> VerificationRep
     closed_form_count = len(closed)
     checks["sets_equal"] = all(clean) and set(oracle) == closed and len(oracle) == closed_form_count
     for (name, _, k), family in zip(classes, families):
-        if len(family) != binomial(n, k):
+        if len(family) != combinat.binomial(n, k):
             checks["sets_equal"] = False
             notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
 
@@ -488,15 +489,15 @@ def verify_range(
     1 raise ValidationError at the call, before any pair is checked, as do
     values that are not ints and ``m_values`` or ``n_values`` that cannot
     answer ``in`` for an int."""
-    _check_knob("jobs", jobs)
+    graph._check_knob("jobs", jobs)
     max_vertices = DEFAULT_MATERIALIZE_CAP if max_vertices is None else max_vertices
-    _check_knob("max_vertices", max_vertices)
+    graph._check_knob("max_vertices", max_vertices)
     try:
-        ms = [m for m in range(2, MAX_GROUND_SET) if m in m_values]
-        ns = [n for n in range(3, MAX_GROUND_SET + 1) if n in n_values]
+        ms = [m for m in range(2, combinat.MAX_GROUND_SET) if m in m_values]
+        ns = [n for n in range(3, combinat.MAX_GROUND_SET + 1) if n in n_values]
     except TypeError:
         raise ValidationError("m_values and n_values must answer 'in' for ints") from None
-    pairs = [JohnsonParams(n, m) for m in ms for n in ns if n > m]
+    pairs = [graph.JohnsonParams(n, m) for m in ms for n in ns if n > m]
     check = partial(_verify_or_skip, max_vertices=max_vertices)
     workers = _worker_count(jobs, len(pairs))
     if workers <= 1:
@@ -504,7 +505,7 @@ def verify_range(
     return _pooled(check, pairs, workers)
 
 
-def _pooled(check, pairs: list[JohnsonParams], workers: int) -> Iterator:
+def _pooled(check, pairs: list[graph.JohnsonParams], workers: int) -> Iterator:
     # Imported here: the pool pulls in multiprocessing, which only jobs > 1 uses.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -513,10 +514,10 @@ def _pooled(check, pairs: list[JohnsonParams], workers: int) -> Iterator:
 
 
 def _verify_or_skip(
-    p: JohnsonParams, max_vertices: int
+    p: graph.JohnsonParams, max_vertices: int
 ) -> VerificationReport | SkippedPair | FailedPair:
     try:
-        _check_cap(p, max_vertices, "materialization")
+        graph._check_cap(p, max_vertices, "materialization")
     except RangeError as exc:
         return SkippedPair(p, str(exc))
     try:

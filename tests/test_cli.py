@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
+import johnson_cliques.combinat as combinat
 import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     MAX_GROUND_SET,
@@ -228,8 +229,8 @@ class TestStreamBytes:
 
     def test_j_16_4_spans_more_than_one_chunk(self):
         p = JohnsonParams(16, 4)
-        assert len(clique_partition(p).parts) == 4368 > cli._CHUNK_LINES
-        assert binomial(16, 5) + binomial(16, 3) == 4928 > cli._CHUNK_LINES
+        assert len(clique_partition(p).parts) == 4368 > combinat._CHUNK_LINES
+        assert binomial(16, 5) + binomial(16, 3) == 4928 > combinat._CHUNK_LINES
 
 
 @st.composite
@@ -329,14 +330,14 @@ class TestStreamWrites:
     def test_no_write_holds_more_than_a_chunk(self, argv):
         sink = _Lines()
         assert cli.run(argv, sink, io.BytesIO()) == 0
-        assert 0 < max(sink.lines) <= cli._CHUNK_LINES
+        assert 0 < max(sink.lines) <= combinat._CHUNK_LINES
 
     def test_deep_sets_too(self):
         # The first 2 MB of J(62,31) class min: runs of a few lines each.
         sink = _Lines(2_000_000)
         with pytest.raises(_Full):
             cli.run(["cliques", "--n", "62", "--m", "31", "--class", "min"], sink, io.BytesIO())
-        assert max(sink.lines) <= cli._CHUNK_LINES < sum(sink.lines)
+        assert max(sink.lines) <= combinat._CHUNK_LINES < sum(sink.lines)
 
 
 class TestStreamMemory:
@@ -482,7 +483,7 @@ class TestVerify:
     def test_failing_check_exits_3(self, monkeypatch, key):
         real = verify(JohnsonParams(4, 2))
         broken = dataclasses.replace(real, checks={**real.checks, key: False})
-        monkeypatch.setattr(cli, "verify_range", lambda *a, **k: [broken])
+        monkeypatch.setattr(oracle, "verify_range", lambda *a, **k: [broken])
         code, out, err = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..4"])
         assert code == 3
         assert b'"passed":false' in out
@@ -511,7 +512,7 @@ class TestVerify:
         real = verify(JohnsonParams(4, 2))
         broken = dataclasses.replace(real, checks={**real.checks, "sets_equal": False})
         skipped = SkippedPair(JohnsonParams(5, 2), "over the cap")
-        monkeypatch.setattr(cli, "verify_range", lambda *a, **k: [skipped, broken])
+        monkeypatch.setattr(oracle, "verify_range", lambda *a, **k: [skipped, broken])
         code, out, _ = run_cli(["verify", "--m-range", "2..2", "--n-range", "4..5"])
         assert code == 3
         assert len(out.decode().splitlines()) == 2
@@ -568,6 +569,15 @@ class TestVerify:
         assert (code, out) == (1, b"")
         assert b"expected a range like 2..4" in err
 
+    def test_range_past_the_int_digit_limit_is_usage_error(self):
+        # int() refuses text of more than 4300 digits with ValueError, which
+        # argparse would report under the name of the private range reader.
+        m_range = "2.." + "9" * 5000
+        code, out, err = run_cli(["verify", "--m-range", m_range, "--n-range", "3..4"])
+        assert (code, out) == (1, b"")
+        message = f"usage error: argument --m-range: expected a range like 2..4, got {m_range!r}\n"
+        assert err == message.encode()
+
     def test_reads_the_materialization_cap_at_call_time(self, monkeypatch):
         monkeypatch.delenv("JOHNSON_MAX_VERTICES", raising=False)
         monkeypatch.setattr(oracle, "DEFAULT_MATERIALIZE_CAP", 5)
@@ -619,7 +629,10 @@ class TestExitCodes:
     def test_non_integer_parameter(self):
         assert run_cli(["gen", "--n", "four", "--m", "2", "--format", "dot"])[0] == 1
 
-    @pytest.mark.parametrize("text", ["\u0665", "\uff15", "1_0", "+5", " 5", "5 "])
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0665", "\uff15", "1_0", "+5", " 5", "5 ", pytest.param("9" * 5000, id="5000_digits")],
+    )
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -629,14 +642,18 @@ class TestExitCodes:
         ],
     )
     def test_numbers_take_ascii_digits_only(self, argv, flag, text):
-        # int() reads each of these texts as 5 or 10.
+        # int() reads each of these texts as 5 or 10, and refuses the last
+        # with ValueError: it has more digits than int() converts.
         argv = [*argv]
         argv[argv.index(flag) + 1] = text
         assert run_cli(argv) == (
             1, b"", f"usage error: argument {flag}: invalid int value: {text!r}\n".encode()
         )
 
-    @pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", "+10", " 10", "10 "])
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661\u0660", "1_0", "+10", " 10", "10 ", pytest.param("9" * 5000, id="5000_digits")],
+    )
     def test_env_cap_takes_ascii_digits_only(self, monkeypatch, text):
         monkeypatch.setenv("JOHNSON_MAX_VERTICES", text)
         code, out, err = run_cli(["gen", "--n", "5", "--m", "2", "--format", "edgelist"])
@@ -681,7 +698,7 @@ class TestExitCodes:
             (2, ["gen", "--n", "6", "--m", "3", "--format", "dot"],
              lambda mp: mp.setenv("JOHNSON_MAX_VERTICES", "5")),
             (3, ["verify", "--m-range", "2..2", "--n-range", "4..4"],
-             lambda mp: mp.setattr(cli, "verify_range", lambda *a, **k: [failing])),
+             lambda mp: mp.setattr(oracle, "verify_range", lambda *a, **k: [failing])),
         ]
         for code, argv, patch in cases:
             with monkeypatch.context() as mp:

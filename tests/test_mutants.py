@@ -80,6 +80,31 @@ ROWS = [
         9, frozenset({"clique_number_ok"}),
     )),
     _row(Mutant(
+        combinat, "iter_subsets_colex",
+        lambda real: lambda n, k: list(real(n, k))[:-1],
+        lambda p: list(combinat.iter_subsets_colex(p.n, p.m)),
+        18, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
+    )),
+    # The three pairs with n = m+1 have no class-max family.
+    _row(Mutant(
+        combinat, "_insertions",
+        lambda real: lambda label, n: real(label, n)[:-1],
+        lambda p: combinat._insertions(_low(p), p.n),
+        15, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
+    )),
+    _row(Mutant(
+        combinat, "binomial",
+        lambda real: lambda n, k: real(n, k) + 1,
+        lambda p: combinat.binomial(p.n, p.m),
+        18, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
+    )),
+    _row(Mutant(
+        cliques, "clique_partition_number",
+        lambda real: lambda p: real(p) + 1,
+        lambda p: cliques.clique_partition_number(p),
+        18, frozenset({"partition_ok"}),
+    )),
+    _row(Mutant(
         cliques, "_partition_class",
         lambda real: lambda p: SWAP[real(p)] if p.m + 2 <= p.n != 2 * p.m else real(p),
         lambda p: cliques._partition_class(p),

@@ -933,8 +933,34 @@ CHECKED_CLOSED_FORMS = {
 
 
 def test_oracle_looks_each_closed_form_up_in_its_own_module():
-    # An import binds a second name for a claim, which a patch applied where
-    # the claim is defined never reaches; a module attribute is read at the call.
+    # An import binds a second name for a function, which a patch applied
+    # where the function is defined never reaches; a module attribute is read
+    # at the call. So every module but __init__ (the public API) and __main__
+    # imports its siblings as modules, and binds no name to their attributes.
+    package = Path(oracle.__file__).parent
+    siblings = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    for module in sorted(siblings):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = {alias.name for alias in node.names}
+                assert node.module in (None, "errors"), (module, node.module, sorted(names))
+                assert node.module or names <= siblings, (module, sorted(names - siblings))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = [node.module] if isinstance(node, ast.ImportFrom) else []
+                imported += [alias.name for alias in node.names]
+                assert not any(name.startswith("johnson_cliques") for name in imported), module
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                values = getattr(node.value, "elts", [node.value])
+                bound = [
+                    ast.unparse(value) for value in values
+                    if isinstance(value, ast.Attribute)
+                    and isinstance(value.value, ast.Name)
+                    and value.value.id in siblings
+                ]
+                assert not bound, (module, bound)
+
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     imported, read = set(), set()
     for node in ast.walk(tree):
