@@ -182,7 +182,7 @@ def build_parser() -> _Parser:
 def _cmd_gen(args, out, err) -> int:
     params = graph.JohnsonParams(args.n, args.m)
     cap = _env_cap(graph.DEFAULT_EXPORT_CAP)
-    if not args.out:
+    if args.out is None:
         graph.export(params, args.format, out, max_vertices=cap)
         return 0
     # Refuse an over-cap graph before open() truncates the file.

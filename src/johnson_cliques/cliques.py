@@ -16,11 +16,11 @@ told apart by the intersection of all member labels:
 Maximal cliques are stored by defining set only (B or A); member lists are
 expanded on demand. A clique with more than two members extends to exactly
 one maximal clique, an edge to one of each class, which is what makes the
-closed-form edge partitions below work. The first two members of a clique
-fix B as their union and A as their intersection, so a clique is checked
-with one set test per member, and classified in O(m) once it is validated.
-``_span`` builds every union and intersection; ``intersection_of`` and
-``union_of`` are its public form. Labels, or collections of labels, that
+closed-form edge partitions below work. Distinct m-sets form a clique
+exactly when their union has m+1 elements (B) or their intersection m-1
+(A): a clique is checked with one union and one intersection.
+``_span`` builds the other unions and intersections; ``intersection_of``
+and ``union_of`` are its public form. Labels, or collections of labels, that
 cannot be iterated or compared, and a non-Clique ``classify`` argument,
 raise ValidationError.
 """
@@ -112,7 +112,7 @@ class Clique:
     def from_labels(cls, labels: Iterable[combinat.Label], params: graph.JohnsonParams) -> "Clique":
         """The clique on ``labels``, each sorted, members in colex order."""
         try:
-            members = tuple(sorted(map(combinat._sorted_label, labels), key=combinat.colex_key))
+            members = tuple(sorted(map(tuple, map(sorted, labels)), key=combinat.colex_key))
         except TypeError:
             raise ValidationError(f"expected an iterable of labels of ints, got {labels!r}") from None
         return cls(params, members)
@@ -155,10 +155,10 @@ def _forms_clique(members: tuple[combinat.Label, ...]) -> bool:
     """Whether same-size labels are distinct and pairwise adjacent.
 
     Raises ValidationError for no labels, labels of mixed sizes or a repeated
-    label. Pairwise adjacency of r >= 2 m-sets holds exactly when they all lie
-    in one (m+1)-set or all contain one (m-1)-core, which can only be the
-    union or the intersection of the first two members: one set test per
-    member instead of r(r-1)/2 pair tests.
+    label. Distinct m-sets are pairwise adjacent exactly when they all lie in
+    one (m+1)-set or all hold one (m-1)-set, that is, when their union has
+    m+1 elements or their intersection has m-1: one union and one
+    intersection over the family instead of r(r-1)/2 pair tests.
     """
     if not members:
         raise ValidationError("a clique needs at least one member")
@@ -167,11 +167,11 @@ def _forms_clique(members: tuple[combinat.Label, ...]) -> bool:
         raise ValidationError(f"labels {members} differ in size")
     if len(set(members)) != len(members):
         raise ValidationError("clique members must be distinct")
-    if len(members) == 1:
-        return True
-    union, core = _span(members[0], members[1])
-    return len(union) == m + 1 and (
-        all(map(union.issuperset, members)) or all(map(core.issubset, members))
+    first = set(members[0])
+    return (
+        len(members) == 1
+        or len(first.union(*members)) == m + 1
+        or len(first.intersection(*members)) == m - 1
     )
 
 

@@ -47,18 +47,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _sorted_label(elements: Iterable[int]) -> Label:
-    """``elements`` sorted into a tuple, unchecked; ValidationError if they
-    cannot be iterated or compared."""
-    try:
-        return tuple(sorted(elements))
-    except TypeError:
-        raise ValidationError(f"label {elements!r} is not an iterable of comparable ints") from None
-
-
 def make_label(elements: Iterable[int]) -> Label:
     """Normalize an iterable of integers in 1..MAX_GROUND_SET into a sorted label."""
-    label = _sorted_label(elements)
+    try:
+        label = tuple(sorted(elements))
+    except TypeError:
+        raise ValidationError(f"label {elements!r} is not an iterable of comparable ints") from None
     validate_label(label, MAX_GROUND_SET)
     return label
 

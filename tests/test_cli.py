@@ -112,6 +112,13 @@ class TestGen:
         assert (code, out) == (1, b"")
         assert err.startswith(b"error: cannot write --out file: ") and err.count(b"\n") == 1
 
+    def test_empty_out_path_is_an_error_not_stdout(self):
+        # As from --out "$UNSET_VAR": a path that cannot be opened, not a
+        # request for stdout.
+        code, out, err = run_cli(["gen", "--n", "4", "--m", "2", "--format", "edgelist", "--out", ""])
+        assert (code, out) == (1, b"")
+        assert err.startswith(b"error: cannot write --out file: ") and err.count(b"\n") == 1
+
 
 class TestAdj:
     def test_true(self):

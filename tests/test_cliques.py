@@ -69,9 +69,9 @@ class TestIsClique:
 
     @pytest.mark.parametrize("n,m", [(5, 2), (5, 3), (6, 3)])
     def test_closed_form_test_matches_pairwise_definition(self, n, m):
-        # is_clique and Clique decide from the union and intersection of the
-        # first two members; the definition is that every two members share
-        # m-1 elements. Each rotation puts other members first.
+        # is_clique and Clique decide from the union and intersection of all
+        # members; the definition is that every two members share m-1
+        # elements. Each rotation puts other members first.
         p = JohnsonParams(n, m)
         labels = colex_subsets(n, m)
         for r in range(1, 5):
@@ -85,6 +85,58 @@ class TestIsClique:
                 except ValidationError:
                     accepted = False
                 assert accepted == expected
+
+    @pytest.mark.parametrize("n,m", [(24, 6), (48, 12), (62, 31)])
+    def test_closed_form_test_matches_pairwise_definition_at_large_m(self, n, m):
+        # The clique-queries sizes: whole and partial families of both
+        # classes, each also with one member moved off B or off A, and pairs
+        # that share fewer than m-1 elements.
+        p = JohnsonParams(n, m)
+        rng = random.Random(35000 + n)
+        ground = range(1, n + 1)
+
+        def families():
+            for _ in range(20):
+                b = sorted(rng.sample(ground, m + 1))
+                whole = [tuple(x for x in b if x != y) for y in b]
+                yield whole
+                part = rng.sample(whole, rng.randint(3, m + 1))
+                yield list(part)
+                off_b = rng.choice(sorted(set(ground) - set(b)))
+                moved = set(part[0]) - {rng.choice(part[0])} | {off_b}
+                yield part[1:] + [tuple(sorted(moved))]
+                a = set(rng.sample(ground, m - 1))
+                whole = [tuple(sorted(a | {y})) for y in ground if y not in a]
+                yield whole
+                part = rng.sample(whole, rng.randint(3, n - m + 1))
+                yield list(part)
+                outside = rng.sample(sorted(set(ground) - a), 2)
+                missing = a - {rng.choice(sorted(a))} | set(outside)
+                yield part + [tuple(sorted(missing))]
+                u = set(rng.sample(ground, m))
+                outside = rng.sample(sorted(set(ground) - u), 2)
+                v = set(rng.sample(sorted(u), m - 2)) | set(outside)
+                yield [tuple(sorted(u)), tuple(sorted(v))]
+
+        verdicts = set()
+        for family in families():
+            rng.shuffle(family)
+            assert len(set(family)) == len(family)
+            expected = all(swap_adjacent(a, b) for a, b in combinations(family, 2))
+            verdicts.add(expected)
+            assert is_clique(family) == expected
+            try:
+                Clique.from_labels(family, p)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == expected
+        assert verdicts == {True, False}
+
+    def test_distinct_singletons_form_a_clique(self):
+        # m = 1: any two distinct singletons share m-1 = 0 elements, and the
+        # family's intersection is empty.
+        assert is_clique([(3,), (1,), (2,)])
 
 
 class TestSetAggregates:

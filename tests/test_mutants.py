@@ -12,6 +12,7 @@ with a mutant that changes nothing.
 """
 
 import dataclasses
+import io
 from typing import Callable, NamedTuple
 
 import pytest
@@ -41,6 +42,19 @@ def _low(p):
 def _edge(p):
     """The clique of {1..m} and {2..m+1}, which share m-1 elements."""
     return Clique.from_labels([_low(p), _low(p)[1:] + (p.m + 1,)], p)
+
+
+def _exported(export, p):
+    """The edge list that ``export`` writes for ``p``."""
+    sink = io.BytesIO()
+    export(p, "edgelist", sink)
+    return sink.getvalue()
+
+
+def _broken_triangle(p):
+    """{1..m}, {2..m+1} and {1..m-1, m+2}: the first two are adjacent, the
+    last two share only m-2 elements."""
+    return [_low(p), _low(p)[1:] + (p.m + 1,), _low(p)[:-1] + (p.m + 2,)]
 
 
 class Mutant(NamedTuple):
@@ -125,9 +139,37 @@ ROWS = [
         lambda p: combinat.rank(_low(p), p.n),
     ), item=2),
     _row(Mutant(
+        combinat, "unrank",
+        lambda real: lambda r, n, m: real(max(r - 1, 0), n, m),
+        lambda p: combinat.unrank(1, p.n, p.m),
+    ), item=2),
+    _row(Mutant(
+        graph, "export",
+        lambda real: lambda p, fmt, sink, max_vertices=None: sink.write(
+            b"".join(_exported(real, p).splitlines(True)[:-1])
+        ),
+        lambda p: _exported(graph.export, p),
+    ), item=2),
+    _row(Mutant(
+        graph, "vertex_count",
+        lambda real: lambda p: real(p) + 1,
+        lambda p: graph.vertex_count(p),
+    ), item=2),
+    _row(Mutant(
         cliques, "classify",
         lambda real: lambda c: dataclasses.replace(real(c), kind=ClassificationKind.UNIQUE_MIN),
         lambda p: cliques.classify(_edge(p)).kind,
+    ), item=3),
+    _row(Mutant(
+        cliques, "extend_to_maximal",
+        lambda real: lambda c: real(c)[:1],
+        lambda p: cliques.extend_to_maximal(_edge(p)),
+    ), item=3),
+    # Judged by its first two members only.
+    _row(Mutant(
+        cliques, "is_clique",
+        lambda real: lambda labels: real(list(labels)[:2]),
+        lambda p: cliques.is_clique(_broken_triangle(p)),
     ), item=3),
 ]
 

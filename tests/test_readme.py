@@ -84,3 +84,12 @@ def test_runtime_is_pure_standard_library():
                 imported.add(node.module.split(".")[0])
     assert {"argparse", "math"} <= imported
     assert imported <= sys.stdlib_module_names, sorted(imported - sys.stdlib_module_names)
+
+
+def test_layout_names_every_module():
+    """The README's Layout block lists each module of the package."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Layout\n\n```\n(.*?)```", text, re.S).group(1)
+    listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
+    modules = {path.name for path in PACKAGE.glob("*.py")}
+    assert modules <= listed, sorted(modules - listed)
