@@ -81,7 +81,8 @@ def validate_label(label: Label, n: int, m: int | None = None) -> None:
 
 
 def parse_label(text: str) -> Label:
-    """Parse the textual form ``{a,b,c}`` (ascending, no spaces) into a label."""
+    """Parse the textual form ``{a,b,c}`` (no spaces) into a label, sorting
+    the elements and dropping leading zeros: ``{3,1,02}`` gives (1, 2, 3)."""
     if not isinstance(text, str):
         raise ValidationError(f"label text {text!r} is not a str; use make_label for ints")
     match = _LABEL_RE.match(text)

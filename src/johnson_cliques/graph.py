@@ -8,11 +8,8 @@ materialize. The bulk paths (the edge stream and export) hold all C(n, m)
 labels and their bit masks, and walk the single swaps of each label to find
 its later neighbours only, already ascending: each edge is found once, from
 its colex-smaller end, as the value its caller gave that neighbour (a label,
-or export's text of it). The labels, the masks and export's texts are built
-by runs of least elements from combinat's prefix table, not one label at a
-time. export() writes the edge lines of a fixed number of vertices per
-write. The oracle builds its dense graph from the pairwise definition
-instead, so it shares no code with this walk.
+or export's text of it). export() writes the edge lines of a fixed number
+of vertices per write.
 """
 
 from __future__ import annotations

@@ -5,11 +5,8 @@ cliques with Bron-Kerbosch, pivoting on a candidate, and compares what it
 finds against the closed-form enumerations, clique number, and edge
 partition. Each clique, found or closed-form, is held as its sorted tuple of
 vertex indices, and the two are compared as sets of those tuples. The clique
-search knows nothing about Johnson structure; it only sees adjacency bits.
-A search node whose candidates split into cliques with no edge between them
-reports each one that no excluded vertex extends, and branches no further;
-that holds on any graph, since the candidates and excluded vertices are the
-common neighbourhood of the node's base. The graph is built from the
+search knows nothing about Johnson structure; it only sees adjacency bits,
+and its pruning rule is exact on any graph. The graph is built from the
 pairwise "share m-1 elements" definition, by masks keyed on each label's
 (m-1)-subsets, for any list of labels of one size; it does not use the
 single-swap walk that the edge stream and export use, and the tests check

@@ -128,10 +128,12 @@ class TestRankUnrank:
         assert rank(unrank(r, 62, 31), 62) == r
 
     def test_unrank_out_of_range(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as info:
             unrank(6, 4, 2)
-        with pytest.raises(RangeError):
+        assert str(info.value) == "rank 6 out of range 0..5 for C(4,2)"
+        with pytest.raises(RangeError) as info:
             unrank(-1, 4, 2)
+        assert str(info.value) == "rank -1 out of range 0..5 for C(4,2)"
         # The scan calls math.comb unchecked: bad n and m are refused by the
         # one binomial(n, m) call before it.
         with pytest.raises(RangeError):

@@ -1,6 +1,8 @@
 """The README's library quick start and command-line examples print what
-they show."""
+they show, and its lists of modules, public names, subcommands and verify
+report keys match the package."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -12,24 +14,32 @@ from pathlib import Path
 import pytest
 
 import johnson_cliques
-from johnson_cliques.cli import run
+from johnson_cliques import JohnsonParams, verify
+from johnson_cliques.cli import build_parser, run
 
 README = Path(__file__).parent.parent / "README.md"
 PACKAGE = Path(johnson_cliques.__file__).parent
 
 
+def readme() -> str:
+    return README.read_text(encoding="utf-8")
+
+
+def section(heading: str) -> str:
+    """The README's text from the heading that starts with ``heading`` to the
+    next ``## `` heading."""
+    return readme().split("\n" + heading, 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start() -> str:
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library quick start", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section("## Library quick start"), re.S).group(1)
 
 
 def cli_examples() -> list[tuple[str, list[str]]]:
     """(command, shown output lines) of each ``$ johnson-cliques ...`` example
     in the README's sh blocks: the lines after the command, up to a blank line."""
-    text = README.read_text(encoding="utf-8")
     examples = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+    for block in re.findall(r"```sh\n(.*?)```", readme(), re.S):
         for chunk in block.split("\n\n"):
             lines = chunk.strip("\n").splitlines()
             if lines and lines[0].startswith("$ johnson-cliques "):
@@ -38,16 +48,15 @@ def cli_examples() -> list[tuple[str, list[str]]]:
 
 
 def test_quick_start_prints_what_its_comments_state():
+    """Each ``print`` line of the quick start prints the text of its ``# ...``
+    comment, and nothing else is printed."""
+    code = quick_start()
+    stated = [line.partition("  # ")[2] for line in code.splitlines() if line.startswith("print(")]
+    assert stated and all(stated), code
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(quick_start(), str(README), "exec"), {})
-    lines = out.getvalue().splitlines()
-    # classify(c).kind.value; two extensions of the edge; clique_number;
-    # the part count; report.passed and report.oracle_clique_count.
-    assert len(lines) == 6
-    assert lines[0] == "already_maximal"
-    assert [line.split()[0] for line in lines[1:3]] == ["min", "max"]
-    assert lines[3:] == ["4", "10", "True 15"]
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == stated
 
 
 def test_readme_has_cli_examples():
@@ -87,9 +96,47 @@ def test_runtime_is_pure_standard_library():
 
 
 def test_layout_names_every_module():
-    """The README's Layout block lists each module of the package."""
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"## Layout\n\n```\n(.*?)```", text, re.S).group(1)
+    """The README's layout block lists each module of the package, and each
+    .py file it lists is a module of the package."""
+    block = re.search(r"```\n(src/johnson_cliques/\n.*?)```", readme(), re.S).group(1)
     listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
     modules = {path.name for path in PACKAGE.glob("*.py")}
     assert modules <= listed, sorted(modules - listed)
+    assert {name for name in listed if name.endswith(".py")} <= modules
+
+
+def test_synopsis_names_every_subcommand():
+    """The command synopsis has one line per subcommand of the CLI's parser."""
+    block = section("## Command line").split("```", 2)[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("johnson-cliques ")]
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(action.choices)
+
+
+def test_api_lists_every_public_name_once():
+    """The API list has one line per name that __init__ imports, the public API."""
+    listed = re.findall(r"^- `(\w+)", section("## Library API"), re.M)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    public = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+              for alias in node.names]
+    assert sorted(listed) == sorted(public)
+
+
+def test_verify_report_keys_are_listed_in_report_order():
+    """The report-line template lists the keys of a report line in order, and
+    the check list under it names the checks in report order."""
+    report = verify(JohnsonParams(5, 3))
+    text = section("## Command line")
+    template = re.search(r"^- verify reports: `(\{.*\})`", text, re.M).group(1)
+    checks = iter(report.checks)
+    keys = [key for name in re.findall(r'"(\w+)"|<checks>', template)
+            for key in ([name] if name else checks)]
+    assert keys == list(report.to_dict())
+    listed = re.findall(r"^  - `(\w+)`: ", text, re.M)
+    assert listed == list(report.checks)
+
+
+def test_names_no_private_identifier():
+    """Private names (a leading underscore) are not part of the contract; the
+    dunder module names of the layout block are allowed."""
+    assert not re.findall(r"(?<!\w)_(?!_)\w+", readme())
