@@ -1,11 +1,12 @@
 """Command-line front end.
 
 All machine output goes to stdout as JSON or the fixed edgelist/DOT formats;
-human-readable messages go to stderr. Exit codes: 0 success, 1 usage error
-or a ``gen --out`` file that cannot be opened, 2 validation error (bad labels,
-bad parameters, regime errors) or a verify pair skipped over the vertex cap,
-3 a failed verification check, 141 stdout closed by its reader before the
-output ended.
+human-readable messages go to stderr. Exit codes: 0 success; 1 a usage error,
+or a "gen --out" file or stdout that cannot be opened or written; 2 a
+validation error (a bad label or parameter, class max at n = m+1, a graph over
+its cap) or a skipped verify pair; 3 a failed verify check or a pair whose
+check raised, which outranks 2; 141 stdout closed by its reader early, as
+under "| head".
 """
 
 from __future__ import annotations

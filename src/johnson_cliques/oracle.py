@@ -10,9 +10,13 @@ and its pruning rule is exact on any graph. The graph is built from the
 pairwise "share m-1 elements" definition, by masks keyed on each label's
 (m-1)-subsets, for any list of labels of one size; it does not use the
 single-swap walk that the edge stream and export use, and the tests check
-that the two give the same rows. Its labels are every m-combination of {1..n}
-sorted by the reversed tuple, colex order by its definition, so it shares no
-colex stepper with the streams and enumerations it checks. The edge law
+that the two give the same rows. The rows are symmetric by construction,
+since sharing m-1 elements is symmetric, so verify()'s own graph skips
+DenseGraph's symmetry pass; the tests check that the constructor accepts
+them, and materialize() still hands them to it. Its labels are every
+m-combination of {1..n} sorted by the reversed tuple, colex order by its
+definition, so it shares no colex stepper with the streams and enumerations
+it checks. The edge law
 compares edge_count() with the graph's own edge total and covers that graph
 with each family; the partition passes only when its parts are, in order, a
 family whose cover passed, so no part is mapped to vertices a second time.
@@ -101,16 +105,26 @@ class DenseGraph:
 def materialize(p: graph.JohnsonParams, max_vertices: int | None = None) -> DenseGraph:
     """Build the explicit graph; vertex i carries the label of colex rank i.
     The cap is ``max_vertices``, or DEFAULT_MATERIALIZE_CAP read at the call."""
-    return _build(p, max_vertices)[1]
+    return DenseGraph(_build(p, max_vertices)[1].rows)
 
 
 def _build(p: graph.JohnsonParams, cap: int | None) -> tuple[list[combinat.Label], DenseGraph]:
     """The labels in colex order, every m-combination sorted by the
     reversed tuple, and the graph whose vertex i is labels[i], with
-    _definition_rows() as its rows."""
+    _definition_rows() as its rows. The graph skips DenseGraph's symmetry
+    pass: the rows are symmetric by construction, and the tests check that
+    DenseGraph accepts them."""
     graph._check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
     labels = sorted(combinations(range(1, p.n + 1), p.m), key=combinat.colex_key)
-    return labels, DenseGraph(_definition_rows(labels))
+    return labels, _trusted(_definition_rows(labels))
+
+
+def _trusted(rows: tuple[int, ...]) -> DenseGraph:
+    """The graph on ``rows``, skipping __post_init__: callers pass only rows
+    that are symmetric by construction."""
+    g = object.__new__(DenseGraph)
+    g.__dict__["rows"] = rows
+    return g
 
 
 def _definition_rows(labels: list[combinat.Label]) -> tuple[int, ...]:
@@ -446,9 +460,14 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     # Each edge lies in exactly one clique of each class, so the only
     # partition into cliques of one class is that class's whole family:
     # the parts must be, in order, a family whose cover passed above.
-    checks["partition_ok"] = len(parts) == cliques.clique_partition_number(p) and any(
+    number = cliques.clique_partition_number(p)
+    checks["partition_ok"] = len(parts) == number and any(
         ok and family == parts for (_, family, _), ok in zip(classes, covers)
     )
+    if not checks["partition_ok"]:
+        sizes = ", ".join(f"{name} {len(family)}" for name, family, _ in classes)
+        notes.append(f"partition failed: part count {len(parts)}, clique_partition_number "
+                     f"gives {number}; family sizes: {sizes}")
     marks.append(time.perf_counter())
 
     return VerificationReport(

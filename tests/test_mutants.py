@@ -201,3 +201,23 @@ def test_verify_fails_the_mutant(monkeypatch, mutant):
         return
     assert len(failed) == mutant.failing
     assert {key for r in failed for key, ok in r.checks.items() if not ok} == mutant.keys
+
+
+@pytest.mark.parametrize(
+    "p,note",
+    [
+        (JohnsonParams(5, 3), "partition failed: part count 10, clique_partition_number gives 11; "
+                              "family sizes: class-min 5, class-max 10"),
+        (JohnsonParams(4, 3), "partition failed: part count 1, clique_partition_number gives 2; "
+                              "family sizes: class-min 1"),
+    ],
+    ids=["J(5,3)", "J(4,3)"],
+)
+def test_partition_only_row_names_its_witness(monkeypatch, p, note):
+    """The row that fails partition_ok alone leaves one note on it, which
+    gives the part count, clique_partition_number() and each family's size."""
+    (mutant,) = [row.values[0] for row in ROWS if row.values[0].keys == {"partition_ok"}]
+    _patch(monkeypatch, mutant)
+    (report,) = verify_range([p.m], [p.n])
+    assert [key for key, ok in report.checks.items() if not ok] == ["partition_ok"]
+    assert [line for line in report.notes if line.startswith("partition failed: ")] == [note]

@@ -219,6 +219,22 @@ class TestMaterialize:
                 rows[j] |= 1 << i
         assert materialize(p).rows == tuple(rows)
 
+    @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(12, 4), (13, 4), (12, 5)])
+    def test_definition_rows_pass_the_symmetry_pass(self, n, m):
+        # verify()'s graph skips DenseGraph's symmetry pass because its rows
+        # are symmetric by construction; this re-check takes its place.
+        labels, g = oracle._build(JohnsonParams(n, m), None)
+        assert DenseGraph(oracle._definition_rows(labels)) == g
+
+    def test_verify_skips_the_symmetry_pass_and_materialize_keeps_it(self, monkeypatch):
+        def refuse(self):
+            raise ValidationError("the symmetry pass ran")
+
+        monkeypatch.setattr(DenseGraph, "__post_init__", refuse)
+        assert verify(JohnsonParams(5, 3)).passed
+        with pytest.raises(ValidationError, match="the symmetry pass ran"):
+            materialize(JohnsonParams(5, 3))
+
     @pytest.mark.parametrize("n,m", [(40, 10), (62, 2)])
     def test_definition_rows_of_a_link(self, n, m):
         # The link of rank 0 is every label that shares m-1 elements with
@@ -527,6 +543,20 @@ class TestVerify:
         report = verify(JohnsonParams(5, 3))
         assert not report.checks["partition_ok"]
         assert not report.passed
+        assert sum(note.startswith("partition failed: ") for note in report.notes) == 1
+
+    def test_partition_note_names_its_witness(self, monkeypatch):
+        # A partition that drops its last part: one note gives the part
+        # count, clique_partition_number() and each family's size.
+        parts = clique_partition(JohnsonParams(5, 3)).parts[:-1]
+        monkeypatch.setattr("johnson_cliques.cliques.clique_partition",
+                            lambda p: CliquePartition(parts))
+        report = verify(JohnsonParams(5, 3))
+        assert not report.checks["partition_ok"]
+        assert report.notes == (
+            "partition failed: part count 9, clique_partition_number gives 10; "
+            "family sizes: class-min 5, class-max 10",
+        )
 
     def test_wrong_edge_count_fails_only_the_edge_law(self, monkeypatch):
         # The partition is judged by the family covers, not by edge_count().
@@ -556,8 +586,20 @@ class TestVerify:
         assert not report.passed
         assert note in report.notes
 
-    @pytest.mark.parametrize("family", ["enumerate_min_cliques", "enumerate_max_cliques"])
-    def test_duplicated_clique_is_reported(self, monkeypatch, family):
+    @pytest.mark.parametrize(
+        "family,partition_notes",
+        [
+            ("enumerate_min_cliques", ()),
+            # J(5,3) is partitioned by its class-max family, which the
+            # duplicate no longer equals.
+            ("enumerate_max_cliques", (
+                "partition failed: part count 10, clique_partition_number gives 10; "
+                "family sizes: class-min 5, class-max 11",
+            )),
+        ],
+        ids=["enumerate_min_cliques", "enumerate_max_cliques"],
+    )
+    def test_duplicated_clique_is_reported(self, monkeypatch, family, partition_notes):
         # The duplicate leaves the set of cliques and its size unchanged;
         # only the edge law sees that its edges are covered twice.
         real = getattr(johnson_cliques, family)
@@ -567,7 +609,10 @@ class TestVerify:
         assert report.checks["sets_equal"]
         assert not report.checks["edge_law_ok"]
         assert not report.passed
-        assert report.notes == ("edge law failed: some edge is not in exactly one clique per class",)
+        assert report.notes == (
+            "edge law failed: some edge is not in exactly one clique per class",
+            *partition_notes,
+        )
 
     def test_wrong_clique_number_is_reported(self, monkeypatch):
         real = johnson_cliques.clique_number
@@ -725,6 +770,29 @@ class TestVerify:
         assert report.checks[flag] is False
         assert note in report.notes
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [((1, 2, 3), (1, 4, 5)), ((1, 2, 3), (1, 2, 4))],
+        ids=["extra_bit", "dropped_bit"],
+    )
+    def test_one_sided_row_fault_fails_verify(self, monkeypatch, u, v):
+        # verify()'s graph skips the symmetry pass, so a row build that
+        # flips bit v of row u alone must fail the checks, not slip through.
+        real = oracle._build
+
+        def build(p, max_vertices):
+            labels, g = real(p, max_vertices)
+            rows = list(g.rows)
+            rows[labels.index(u)] ^= 1 << labels.index(v)
+            return labels, oracle._trusted(tuple(rows))
+
+        monkeypatch.setattr(oracle, "_build", build)
+        report = verify(JohnsonParams(5, 3))
+        assert not report.passed
+        assert {key for key, ok in report.checks.items() if not ok} >= {
+            "sets_equal", "intersection_sizes_ok", "edge_law_ok", "partition_ok"
+        }
 
     def test_clique_notes_follow_maximal_cliques_order(self, monkeypatch):
         # The search finds these two faulty cliques in the reverse of their

@@ -138,3 +138,15 @@ def test_names_no_private_identifier():
     """Private names (a leading underscore) are not part of the contract; the
     dunder module names of the layout block are allowed."""
     assert not re.findall(r"(?<!\w)_(?!_)\w+", readme())
+
+
+def test_exit_codes_match_the_help_text():
+    """The README's "Exit codes:" paragraph and the top-level --help text name
+    the same exit codes, and each names every code the CLI returns."""
+    code = r'(?:Exit codes:|;)\s+`?(\d+)`?\s'
+    paragraph = readme().split("\nExit codes:", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(code, "Exit codes:" + paragraph))
+    out = io.BytesIO()
+    assert run(["--help"], out, io.BytesIO()) == 0
+    helped = set(re.findall(code, out.getvalue().decode()))
+    assert listed == helped == {"0", "1", "2", "3", "141"}
