@@ -272,15 +272,16 @@ def _trusted(p: graph.JohnsonParams, kind: CliqueClass, s: combinat.Label) -> Ma
     return h
 
 
-def _family(p: graph.JohnsonParams, kind: CliqueClass, k: int) -> Iterator[MaximalClique]:
+def _family(p: graph.JohnsonParams, kind: CliqueClass) -> Iterator[MaximalClique]:
     # iter_subsets_colex makes only valid k-subsets of {1..n}.
+    k = _class_shape(p, kind)[0]  # class max at n == m+1 raises RegimeError here
     return (_trusted(p, kind, s) for s in combinat.iter_subsets_colex(p.n, k))
 
 
 def enumerate_min_cliques(p: graph.JohnsonParams) -> Iterator[MaximalClique]:
     """One class-min clique per (m+1)-subset B of {1..n}, in colex order of B."""
     graph._check_params(p)
-    return _family(p, CliqueClass.MIN, p.m + 1)
+    return _family(p, CliqueClass.MIN)
 
 
 def enumerate_max_cliques(p: graph.JohnsonParams) -> Iterator[MaximalClique]:
@@ -290,7 +291,7 @@ def enumerate_max_cliques(p: graph.JohnsonParams) -> Iterator[MaximalClique]:
     maximal.
     """
     graph._check_params(p)
-    return _family(p, CliqueClass.MAX, _class_shape(p, CliqueClass.MAX)[0])
+    return _family(p, CliqueClass.MAX)
 
 
 def clique_number(p: graph.JohnsonParams) -> int:
@@ -322,5 +323,4 @@ def clique_partition(p: graph.JohnsonParams) -> CliquePartition:
     oracle.verify() checks it edge by edge.
     """
     graph._check_params(p)
-    kind = _partition_class(p)
-    return CliquePartition(tuple(_family(p, kind, _class_shape(p, kind)[0])))
+    return CliquePartition(tuple(_family(p, _partition_class(p))))

@@ -10,10 +10,10 @@ and its pruning rule is exact on any graph. The graph is built from the
 pairwise "share m-1 elements" definition, by masks keyed on each label's
 (m-1)-subsets, for any list of labels of one size; it does not use the
 single-swap walk that the edge stream and export use, and the tests check
-that the two give the same rows. The rows are symmetric by construction,
-since sharing m-1 elements is symmetric, so verify()'s own graph skips
-DenseGraph's symmetry pass; the tests check that the constructor accepts
-them, and materialize() still hands them to it. Its labels are every
+that the two give the same rows. verify() and the search compute on those
+rows and build no DenseGraph: the rows are symmetric by construction, and
+the tests check that DenseGraph accepts them. materialize() still hands
+them to DenseGraph, which checks them. Its labels are every
 m-combination of {1..n} sorted by the reversed tuple, colex order by its
 definition, so it shares no colex stepper with the streams and enumerations
 it checks. The edge law
@@ -28,6 +28,7 @@ patch applied where a claim is defined is what verify() checks.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -99,32 +100,26 @@ class DenseGraph:
         return bool((self.rows[i] >> j) & 1)
 
     def edge_total(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return _edge_total(self.rows)
+
+
+def _edge_total(rows: tuple[int, ...]) -> int:
+    return sum(row.bit_count() for row in rows) // 2
 
 
 def materialize(p: graph.JohnsonParams, max_vertices: int | None = None) -> DenseGraph:
     """Build the explicit graph; vertex i carries the label of colex rank i.
     The cap is ``max_vertices``, or DEFAULT_MATERIALIZE_CAP read at the call."""
-    return DenseGraph(_build(p, max_vertices)[1].rows)
+    return DenseGraph(_build(p, max_vertices)[1])
 
 
-def _build(p: graph.JohnsonParams, cap: int | None) -> tuple[list[combinat.Label], DenseGraph]:
+def _build(p: graph.JohnsonParams, cap: int | None) -> tuple[list[combinat.Label], tuple[int, ...]]:
     """The labels in colex order, every m-combination sorted by the
-    reversed tuple, and the graph whose vertex i is labels[i], with
-    _definition_rows() as its rows. The graph skips DenseGraph's symmetry
-    pass: the rows are symmetric by construction, and the tests check that
-    DenseGraph accepts them."""
+    reversed tuple, and their _definition_rows(): row i holds the
+    neighbours of labels[i]."""
     graph._check_cap(p, DEFAULT_MATERIALIZE_CAP if cap is None else cap, "materialization")
     labels = sorted(combinations(range(1, p.n + 1), p.m), key=combinat.colex_key)
-    return labels, _trusted(_definition_rows(labels))
-
-
-def _trusted(rows: tuple[int, ...]) -> DenseGraph:
-    """The graph on ``rows``, skipping __post_init__: callers pass only rows
-    that are symmetric by construction."""
-    g = object.__new__(DenseGraph)
-    g.__dict__["rows"] = rows
-    return g
+    return labels, _definition_rows(labels)
 
 
 def _definition_rows(labels: list[combinat.Label]) -> tuple[int, ...]:
@@ -165,25 +160,24 @@ def maximal_cliques(g: DenseGraph) -> list[tuple[int, ...]]:
     if ``g`` is not a DenseGraph."""
     if not isinstance(g, DenseGraph):
         raise ValidationError(f"expected a DenseGraph, got {g!r}")
-    return sorted(_bron_kerbosch(g, [1 << i for i in range(g.vertex_count)])[0])
+    return sorted(_bron_kerbosch(g.rows, [1 << i for i in range(g.vertex_count)])[0])
 
 
-def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]], int]:
-    """The maximal cliques of ``g`` as ascending vertex tuples, in the order
-    found, and the number of nodes of the search tree; ``bits[i]`` is
-    ``1 << i``. The search holds each clique as a vertex mask and decodes
-    each once, at the end. Each call pivots on the candidate with the most
-    candidate neighbours, and branches on the others from its highest vertex
-    down. A call whose candidates split into k >= 1 cliques
-    with no edge between them settles them all and branches no further: it
-    reports its base plus each of those cliques that no excluded vertex is
-    adjacent to in full, and counts as k leaves. The candidates and excluded
-    vertices together are the common neighbourhood of the base, so every
-    clique among the candidates lies in one of the k, and only an excluded
-    vertex can extend one; the rule is exact on any graph. A call with no
-    candidates is a leaf: it reports its base when no excluded vertex is
-    left, and counts one node."""
-    rows = g.rows
+def _bron_kerbosch(rows: tuple[int, ...], bits: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """The maximal cliques of the graph with DenseGraph-style ``rows``, as
+    ascending vertex tuples in the order found, and the number of nodes of
+    the search tree; ``bits[i]`` is ``1 << i``. The search holds each clique
+    as a vertex mask and decodes each once, at the end. Each call pivots on
+    the candidate with the most candidate neighbours, and branches on the
+    others from its highest vertex down. A call whose candidates split into
+    k >= 1 cliques with no edge between them settles them all and branches
+    no further: it reports its base plus each of those cliques that no
+    excluded vertex is adjacent to in full, and counts as k leaves. The
+    candidates and excluded vertices together are the common neighbourhood
+    of the base, so every clique among the candidates lies in one of the k,
+    and only an excluded vertex can extend one; the rule is exact on any
+    graph. A call with no candidates is a leaf: it reports its base when no
+    excluded vertex is left, and counts one node."""
     # Each loop peels its top vertex with one new int, bits[i] being reused,
     # not the two that peeling the low bit (x & -x, then x ^ low) makes.
     found: list = []  # masks while the search runs, vertex tuples after it
@@ -250,7 +244,7 @@ def _bron_kerbosch(g: DenseGraph, bits: list[int]) -> tuple[list[tuple[int, ...]
             excl |= bit
 
     if rows:  # the empty graph reports no clique, not the empty one
-        expand(0, (1 << g.vertex_count) - 1, 0)
+        expand(0, (1 << len(rows)) - 1, 0)
     # Decoded in place, so each mask is freed as its tuple takes its slot.
     for k, mask in enumerate(found):
         found[k] = _mask_vertices(mask, bits)
@@ -324,20 +318,20 @@ class FailedPair:
 
 
 def _covers_each_edge_once(
-    family: Iterable[tuple[int, ...]], g: DenseGraph, bits: list[int]
+    family: Iterable[tuple[int, ...]], rows: tuple[int, ...], edges: int, bits: list[int]
 ) -> bool:
-    """Whether these cliques, each a tuple of vertex indices of ``g``, cover
-    every edge of ``g`` exactly once, and no non-edge pair; ``bits[i]`` is
-    ``1 << i``.
+    """Whether these cliques, each a tuple of vertex indices, cover every
+    edge of the graph on adjacency ``rows`` exactly once, and no non-edge
+    pair; ``edges`` is its edge total and ``bits[i]`` is ``1 << i``.
 
     Each member's cover row ORs in its clique's mask, itself an OR, so a
     member listed twice sets its bit once; with the diagonal cleared, the
-    rows must equal g's rows, so every pair covered is an edge and every
-    edge is covered. A clique of s listed members counts C(s, 2) pairs,
-    each covered pair at least once and a member listed twice more than
-    that; a total of exactly the edge count leaves no pair counted twice.
+    cover rows must equal ``rows``, so every pair covered is an edge and
+    every edge is covered. A clique of s listed members counts C(s, 2)
+    pairs, each covered pair at least once and a member listed twice more
+    than that; a total of exactly ``edges`` leaves no pair counted twice.
     """
-    cover = [0] * g.vertex_count
+    cover = [0] * len(rows)
     pairs = 0
     for members in family:
         mask = 0
@@ -347,9 +341,7 @@ def _covers_each_edge_once(
             cover[i] |= mask
         size = len(members)
         pairs += size * (size - 1) // 2
-    return pairs == g.edge_total() and all(
-        c & ~bit == row for c, bit, row in zip(cover, bits, g.rows)
-    )
+    return pairs == edges and all(c & ~bit == row for c, bit, row in zip(cover, bits, rows))
 
 
 def _index_tuples(
@@ -380,22 +372,22 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     """Run every closed-form claim for one (n, m) against the oracle. The
     cap is materialize()'s: ``max_vertices``, or the default read at the call."""
     marks = [time.perf_counter()]
-    labels, g = _build(p, max_vertices)
+    labels, rows = _build(p, max_vertices)
     marks.append(time.perf_counter())
     notes: list[str] = []
     n, m = p.n, p.m
 
-    bits = [1 << i for i in range(g.vertex_count)]
-    oracle, expand_calls = _bron_kerbosch(g, bits)
+    bits = [1 << i for i in range(len(rows))]
+    oracle, expand_calls = _bron_kerbosch(rows, bits)
     marks.append(time.perf_counter())
     max_size = max(map(len, oracle))
+    oracle.sort()  # the order of maximal_cliques(), which the notes follow
 
     # A clique's common elements are the AND of its members' label masks.
     label_masks = [sum(1 << e for e in label) for label in labels]
     # Keys in report order: sets_equal leads, but is decided after the laws.
     checks = dict.fromkeys(("sets_equal", "intersection_sizes_ok", "size_laws_ok"), True)
-    # One note per faulty clique, in the sorted order of maximal_cliques().
-    for members in sorted(oracle):
+    for members in oracle:
         shared = -1
         for i in members:
             shared &= label_masks[i]
@@ -433,10 +425,16 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
-    closed_form_count = len(closed)
-    checks["sets_equal"] = all(clean) and set(oracle) == closed and len(oracle) == closed_form_count
+    found = set(oracle)
+    checks["sets_equal"] = all(clean) and found == closed and len(oracle) == len(closed)
+    if found != closed:  # the first clique that each side lacks, by labels
+        named = [f"oracle clique {sorted(labels[i] for i in c)} is in no family"
+                 for c in oracle if c not in closed][:1]
+        named += [f"the oracle lacks {name} clique {sorted(labels[i] for i in c)}"
+                  for (name, *_), f in zip(classes, tuples) for c in f if c not in found][:1]
+        notes.append("sets_equal failed: " + "; ".join(named))
     for (name, _, k), family in zip(classes, families):
-        if len(family) != combinat.binomial(n, k):
+        if len(family) != math.comb(n, k):
             checks["sets_equal"] = False
             notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
 
@@ -446,8 +444,8 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
         notes.append(f"observed maximum clique size {max_size}, formula gives {omega}")
     marks.append(time.perf_counter())
 
-    edges = g.edge_total()
-    covers = [ok and _covers_each_edge_once(family, g, bits) for family, ok in zip(tuples, clean)]
+    edges = _edge_total(rows)
+    covers = [ok and _covers_each_edge_once(f, rows, edges, bits) for f, ok in zip(tuples, clean)]
     counted = graph.edge_count(p)
     checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:
@@ -473,14 +471,14 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     return VerificationReport(
         params=p,
         oracle_clique_count=len(oracle),
-        closed_form_count=closed_form_count,
+        closed_form_count=len(closed),
         checks=checks,
         max_clique_size_observed=max_size,
         phase_seconds={
             phase: end - start for phase, start, end in zip(VERIFY_PHASES, marks, marks[1:])
         },
         counters={
-            "vertices": g.vertex_count,
+            "vertices": len(rows),
             "edges": edges,
             "expand_calls": expand_calls,
             "cliques_found": len(oracle),

@@ -106,11 +106,13 @@ ROWS = [
         lambda p: combinat._insertions(_low(p), p.n),
         15, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
     )),
+    # verify counts each family against math.comb, not binomial; the
+    # fault reaches edge_count and clique_partition_number.
     _row(Mutant(
         combinat, "binomial",
         lambda real: lambda n, k: real(n, k) + 1,
         lambda p: combinat.binomial(p.n, p.m),
-        18, frozenset({"sets_equal", "edge_law_ok", "partition_ok"}),
+        18, frozenset({"edge_law_ok", "partition_ok"}),
     )),
     _row(Mutant(
         cliques, "clique_partition_number",
@@ -221,3 +223,30 @@ def test_partition_only_row_names_its_witness(monkeypatch, p, note):
     (report,) = verify_range([p.m], [p.n])
     assert [key for key, ok in report.checks.items() if not ok] == ["partition_ok"]
     assert [line for line in report.notes if line.startswith("partition failed: ")] == [note]
+
+
+def test_sets_equal_names_its_witness(monkeypatch):
+    """With the last subset dropped, each family lacks its last clique: the
+    note names the first oracle clique in no family, and leaves out the
+    other side, since every family clique is one the oracle finds."""
+    (mutant,) = [row.values[0] for row in ROWS if row.id == "combinat.iter_subsets_colex"]
+    _patch(monkeypatch, mutant)
+    (report,) = verify_range([3], [5])
+    assert report.checks["sets_equal"] is False
+    assert [line for line in report.notes if line.startswith("sets_equal failed: ")] == [
+        "sets_equal failed: oracle clique [(2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)] "
+        "is in no family"
+    ]
+
+
+def test_family_counts_do_not_come_from_binomial(monkeypatch):
+    """A binomial wrong only at C(5,2) leaves J(5,3)'s correct families
+    equal to the oracle's cliques; only clique_partition_number, which
+    reads it, fails."""
+    real = combinat.binomial
+    monkeypatch.setattr(
+        combinat, "binomial", lambda n, k: real(n, k) + 1 if (n, k) == (5, 2) else real(n, k)
+    )
+    (report,) = verify_range([3], [5])
+    assert report.checks["sets_equal"] is True
+    assert report.checks["partition_ok"] is False

@@ -221,10 +221,11 @@ class TestMaterialize:
 
     @pytest.mark.parametrize("n,m", ACCEPTANCE_PAIRS + DEGENERATE_PAIRS + [(12, 4), (13, 4), (12, 5)])
     def test_definition_rows_pass_the_symmetry_pass(self, n, m):
-        # verify()'s graph skips DenseGraph's symmetry pass because its rows
-        # are symmetric by construction; this re-check takes its place.
-        labels, g = oracle._build(JohnsonParams(n, m), None)
-        assert DenseGraph(oracle._definition_rows(labels)) == g
+        # verify() computes on its rows without DenseGraph's symmetry pass,
+        # because they are symmetric by construction; this re-check takes
+        # its place.
+        labels, rows = oracle._build(JohnsonParams(n, m), None)
+        assert DenseGraph(oracle._definition_rows(labels)).rows == rows
 
     def test_verify_skips_the_symmetry_pass_and_materialize_keeps_it(self, monkeypatch):
         def refuse(self):
@@ -234,6 +235,17 @@ class TestMaterialize:
         assert verify(JohnsonParams(5, 3)).passed
         with pytest.raises(ValidationError, match="the symmetry pass ran"):
             materialize(JohnsonParams(5, 3))
+
+    def test_verify_builds_no_dense_graph(self, monkeypatch):
+        # verify() and verify_range() compute on the rows themselves.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DenseGraph was built")
+
+        monkeypatch.setattr(oracle, "DenseGraph", refuse)
+        for n, m in [(5, 3), (4, 3), (9, 4)]:
+            assert verify(JohnsonParams(n, m)).passed
+        reports = list(verify_range(range(2, 5), range(3, 10), jobs=1))
+        assert len(reports) == 18 and all(r.passed for r in reports)
 
     @pytest.mark.parametrize("n,m", [(40, 10), (62, 2)])
     def test_definition_rows_of_a_link(self, n, m):
@@ -291,7 +303,8 @@ OCTAHEDRON_PARTITION = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
 
 
 def covers_each_edge_once(cliques, g):
-    return oracle._covers_each_edge_once(cliques, g, [1 << i for i in range(g.vertex_count)])
+    bits = [1 << i for i in range(g.vertex_count)]
+    return oracle._covers_each_edge_once(cliques, g.rows, g.edge_total(), bits)
 
 
 class TestCoversEachEdgeOnce:
@@ -444,7 +457,7 @@ class TestMaximalCliques:
         ]
         assert maximal_cliques(g) == naive_maximal_cliques(9, g.adjacent)
         # The root, four leaves under 6, one under 5 and two under 0.
-        assert oracle._bron_kerbosch(g, [1 << i for i in range(9)])[1] == 8
+        assert oracle._bron_kerbosch(g.rows, [1 << i for i in range(9)])[1] == 8
 
     def test_deterministic(self):
         g = materialize(JohnsonParams(6, 3))
@@ -744,13 +757,13 @@ class TestVerify:
         real = oracle._build
 
         def build(p, max_vertices):
-            labels, g = real(p, max_vertices)
-            rows = list(g.rows)
+            labels, rows = real(p, max_vertices)
+            rows = list(rows)
             for u, v in extra:
                 i, j = labels.index(u), labels.index(v)
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            return labels, DenseGraph(tuple(rows))
+            return labels, DenseGraph(tuple(rows)).rows
 
         monkeypatch.setattr(oracle, "_build", build)
         return verify(p)
@@ -777,15 +790,15 @@ class TestVerify:
         ids=["extra_bit", "dropped_bit"],
     )
     def test_one_sided_row_fault_fails_verify(self, monkeypatch, u, v):
-        # verify()'s graph skips the symmetry pass, so a row build that
-        # flips bit v of row u alone must fail the checks, not slip through.
+        # verify()'s rows skip the symmetry pass, so a row build that flips
+        # bit v of row u alone must fail the checks, not slip through.
         real = oracle._build
 
         def build(p, max_vertices):
-            labels, g = real(p, max_vertices)
-            rows = list(g.rows)
+            labels, rows = real(p, max_vertices)
+            rows = list(rows)
             rows[labels.index(u)] ^= 1 << labels.index(v)
-            return labels, oracle._trusted(tuple(rows))
+            return labels, tuple(rows)
 
         monkeypatch.setattr(oracle, "_build", build)
         report = verify(JohnsonParams(5, 3))
@@ -973,7 +986,7 @@ class TestSecondOracle:
 # none of the code that builds what it checks.
 CHECKED_CODE = {
     "_swap_walk", "_colex_runs", "_colex_values", "iter_subsets_colex", "_insertions",
-    "neighbors", "are_adjacent", "rank", "unrank",
+    "neighbors", "are_adjacent", "rank", "unrank", "binomial",
 }
 
 
