@@ -202,7 +202,7 @@ def _cmd_adj(args, out, err) -> int:
     u, v = (combinat.parse_label(text) for text in args.labels)
     combinat.validate_label(u, params.n, params.m)
     combinat.validate_label(v, params.n, params.m)
-    out.write(b"true\n" if graph.are_adjacent(u, v) else b"false\n")
+    graph._write_all(out, b"true\n" if graph.are_adjacent(u, v) else b"false\n")
     return 0
 
 
@@ -217,8 +217,9 @@ def _cmd_cliques(args, out, err) -> int:
     else:
         kinds = [cliques.CliqueClass.MIN, cliques.CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    out.writelines(_family_chunks(params, kinds, b"\n"))
-    out.write(b"\n")
+    for chunk in _family_chunks(params, kinds, b"\n"):
+        graph._write_all(out, chunk)
+    graph._write_all(out, b"\n")
     return 0
 
 
@@ -236,21 +237,22 @@ def _cmd_classify(args, out, err) -> int:
         payload = {"kind": result.kind.value, "min": h_min.to_dict(), "max": h_max.to_dict()}
     else:
         payload = {**result.extensions[0].to_dict(), "kind": result.kind.value}
-    out.write(_dumps(payload).encode() + b"\n")
+    graph._write_all(out, _dumps(payload).encode() + b"\n")
     return 0
 
 
 def _cmd_extend(args, out, err) -> int:
     extensions = cliques.extend_to_maximal(_parse_clique(args))
-    out.write(_dumps([h.to_dict() for h in extensions]).encode() + b"\n")
+    graph._write_all(out, _dumps([h.to_dict() for h in extensions]).encode() + b"\n")
     return 0
 
 
 def _cmd_partition(args, out, err) -> int:
     params = graph.JohnsonParams(args.n, args.m)
-    out.write(f'{{"cp":{cliques.clique_partition_number(params)},"parts":['.encode())
-    out.writelines(_family_chunks(params, [cliques._partition_class(params)], b","))
-    out.write(b"]}\n")
+    graph._write_all(out, f'{{"cp":{cliques.clique_partition_number(params)},"parts":['.encode())
+    for chunk in _family_chunks(params, [cliques._partition_class(params)], b","):
+        graph._write_all(out, chunk)
+    graph._write_all(out, b"]}\n")
     return 0
 
 
@@ -263,7 +265,7 @@ def _cmd_number(args, out, err) -> int:
         "clique_partition_number": cliques.clique_partition_number(params),
         "degenerate": params.degenerate,
     }
-    out.write(_dumps(payload).encode() + b"\n")
+    graph._write_all(out, _dumps(payload).encode() + b"\n")
     return 0
 
 
@@ -275,7 +277,7 @@ def _cmd_verify(args, out, err) -> int:
     total = passed = skipped = 0
     summed = 0.0
     for result in oracle.verify_range(args.m_range, args.n_range, jobs=args.jobs, max_vertices=cap):
-        out.write(_dumps(result.to_dict()).encode() + b"\n")
+        graph._write_all(out, _dumps(result.to_dict()).encode() + b"\n")
         total += 1
         if isinstance(result, oracle.SkippedPair):
             skipped += 1
@@ -309,7 +311,8 @@ def _cmd_verify(args, out, err) -> int:
 
 def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
     """Parse ``argv`` and run one subcommand, writing UTF-8 bytes to the byte
-    streams ``out`` and ``err``, which it flushes before it returns and never closes."""
+    streams ``out`` and ``err``, which it flushes before it returns and never closes.
+    Each write to ``out`` goes through graph._write_all(), so ``out`` takes every byte."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, out, err)
@@ -317,7 +320,7 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
         err.write(f"usage error: {exc}\n".encode(errors="backslashreplace"))
         return 1
     except _Help as exc:
-        out.write(exc.args[0].encode())
+        graph._write_all(out, exc.args[0].encode())
         return 0
     except ValidationError as exc:
         err.write(f"error: {exc}\n".encode(errors="backslashreplace"))

@@ -27,8 +27,8 @@ Label = tuple[int, ...]
 # rather than hand fixed-width consumers values they cannot hold.
 MAX_GROUND_SET = 62
 
-#: Most lines the CLI's bulk streams put in one write, and most values in
-#: the prefix table of _colex_runs(), so that a run fits in one write.
+#: Most lines (edges or cliques) in one write of each bulk stream, and most
+#: values in the prefix table of _colex_runs(), so a run fits in one write.
 _CHUNK_LINES = 2048
 
 _LABEL_RE = re.compile(r"\{(\d+(?:,\d+)*)\}\Z", re.ASCII)
@@ -59,12 +59,14 @@ def make_label(elements: Iterable[int]) -> Label:
 
 def validate_label(label: Label, n: int, m: int | None = None) -> None:
     """Check that ``label`` is a non-empty tuple of strictly increasing ints
-    in 1..n (and of size ``m`` when given); raise ValidationError otherwise,
-    and RangeError, as binomial() does, for n > MAX_GROUND_SET."""
+    in 1..n (and of size ``m``, an int, when given); raise ValidationError
+    otherwise, and RangeError, as binomial() does, for n > MAX_GROUND_SET."""
     if type(n) is not int:
         raise ValidationError(f"n must be an int, got {n!r}")
     if n > MAX_GROUND_SET:
         raise RangeError(f"n={n} exceeds the supported bound n <= {MAX_GROUND_SET}")
+    if m is not None and type(m) is not int:
+        raise ValidationError(f"m must be an int, got {m!r}")
     if not isinstance(label, tuple):
         raise ValidationError(f"label {label!r} is not a tuple")
     if not label:

@@ -8,8 +8,8 @@ materialize. The bulk paths (the edge stream and export) hold all C(n, m)
 labels and their bit masks, and walk the single swaps of each label to find
 its later neighbours only, already ascending: each edge is found once, from
 its colex-smaller end, as the value its caller gave that neighbour (a label,
-or export's text of it). export() writes the edge lines of a fixed number
-of vertices per write.
+or export's text of it). No write of export() holds more than
+combinat._CHUNK_LINES edges, the bound of every bulk stream.
 """
 
 from __future__ import annotations
@@ -199,8 +199,16 @@ def _check_knob(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be at least 1, got {value}")
 
 
-#: Vertices whose edge lines export() joins into one write.
-_CHUNK_VERTICES = 256
+def _write_all(sink: BinaryIO, data: bytes) -> None:
+    """Write ``data`` to ``sink`` until it has taken every byte: a raw
+    stream's write may take fewer bytes than it is given, and returns how
+    many. A write that returns None counts as complete, as a plain
+    collector's does; one that takes no byte raises OSError."""
+    view = data
+    while (done := sink.write(view)) is not None and done < len(view):
+        if not done:
+            raise OSError(f"{sink!r} took none of {len(view)} bytes")
+        view = memoryview(view)[done:]
 
 
 def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None = None) -> None:
@@ -220,8 +228,9 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     label, its DOT id or its rank) and the fixed text around each edge: the
     names are built by runs, as the labels are, and fill the walk's table,
     so the walk yields each vertex's later neighbours by name, which are
-    joined into its edge lines at once, and the lines of _CHUNK_VERTICES
-    vertices go out as one write.
+    joined into its edge lines at once. A vertex has at most m(n-m) later
+    neighbours, so the lines of _CHUNK_LINES // (m(n-m)) vertices, at least
+    two, go out as one write.
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
@@ -258,10 +267,10 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
         for head, later in zip(heads, walk(names))
         if later
     )
-    sink.write(opening.encode())
+    _write_all(sink, opening.encode())
     lead = ""
-    while chunk := list(islice(blocks, _CHUNK_VERTICES)):
-        sink.write((lead + sep.join(chunk)).encode())
+    while chunk := list(islice(blocks, combinat._CHUNK_LINES // (p.m * (p.n - p.m)))):
+        _write_all(sink, (lead + sep.join(chunk)).encode())
         lead = sep
-    sink.write(closing.encode())
+    _write_all(sink, closing.encode())
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
 import johnson_cliques.combinat as combinat
+import johnson_cliques.graph as graph
 import johnson_cliques.oracle as oracle
 from johnson_cliques import (
     MAX_GROUND_SET,
@@ -312,15 +313,21 @@ def _peak_mib(argv, limit=None):
 
 
 class _Lines(_Discard):
-    """A _Discard that records the clique lines of each write."""
+    """A _Discard that records the lines of each write: the matches of the
+    regex ``line``, clique lines unless it says otherwise."""
 
-    def __init__(self, limit=None):
+    def __init__(self, limit=None, line=rb'\{"class":'):
         super().__init__(limit)
         self.lines = []
+        self.line = re.compile(line)
 
     def write(self, b):
-        self.lines.append(bytes(b).count(b'{"class":'))
+        self.lines.append(len(self.line.findall(bytes(b))))
         return super().write(b)
+
+
+#: The text of one edge in each ``gen`` format.
+GEN_EDGE = {"edgelist": rb" -- ", "dot": rb" -- ", "json": rb"\[\d+,\d+\]"}
 
 
 class TestStreamWrites:
@@ -332,12 +339,21 @@ class TestStreamWrites:
             ["partition", "--n", "13", "--m", "7"],
             ["cliques", "--n", "16", "--m", "4"],
             ["partition", "--n", "16", "--m", "4"],
+        ]
+        + [
+            ["gen", "--n", n, "--m", m, "--format", fmt]
+            for n, m in [("13", "5"), ("62", "2")]
+            for fmt in graph.EXPORT_FORMATS
         ],
     )
     def test_no_write_holds_more_than_a_chunk(self, argv):
-        sink = _Lines()
+        gen = argv[0] == "gen"
+        sink = _Lines(line=GEN_EDGE[argv[-1]]) if gen else _Lines()
         assert cli.run(argv, sink, io.BytesIO()) == 0
-        assert 0 < max(sink.lines) <= combinat._CHUNK_LINES
+        # A gen stream's opening write holds no edge, but json's vertices
+        # [a,b] at m = 2 look like its edges [i,j].
+        lines = sink.lines[1:] if gen else sink.lines
+        assert 0 < max(lines) <= combinat._CHUNK_LINES
 
     def test_deep_sets_too(self):
         # The first 2 MB of J(62,31) class min: runs of a few lines each.
@@ -345,6 +361,80 @@ class TestStreamWrites:
         with pytest.raises(_Full):
             cli.run(["cliques", "--n", "62", "--m", "31", "--class", "min"], sink, io.BytesIO())
         assert max(sink.lines) <= combinat._CHUNK_LINES < sum(sink.lines)
+
+
+class _Trickle(io.RawIOBase):
+    """A raw byte sink whose write takes at most ``per_call`` bytes and
+    returns how many it took, as io.RawIOBase.write may."""
+
+    def __init__(self, per_call):
+        self.per_call = per_call
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[: self.per_call])
+        self.taken += taken
+        return len(taken)
+
+
+class _Collector:
+    """A byte sink whose write keeps its bytes and returns None."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, b):
+        self.parts.append(bytes(b))
+
+
+def _bulk_argvs(n, m):
+    return [
+        *(["gen", "--n", n, "--m", m, "--format", fmt] for fmt in graph.EXPORT_FORMATS),
+        ["cliques", "--n", n, "--m", m],
+        ["partition", "--n", n, "--m", m],
+    ]
+
+
+# J(5,3) in every bulk command and number, through both sinks; and the
+# J(9,4) gen and J(16,4) clique streams, 11 kB to 285 kB, whose writes are
+# longer than 4,096 bytes.
+PARTIAL_RUNS = [
+    (argv, per_call)
+    for argv in [*_bulk_argvs("5", "3"), ["number", "--n", "5", "--m", "3"]]
+    for per_call in (4096, 1)
+] + [(argv, 4096) for argv in _bulk_argvs("9", "4")[:3] + _bulk_argvs("16", "4")[3:]]
+
+
+class TestPartialWrites:
+    @pytest.mark.parametrize(
+        "argv,per_call", PARTIAL_RUNS, ids=[f"{' '.join(a)}-{k}" for a, k in PARTIAL_RUNS]
+    )
+    def test_cli_out_takes_every_byte(self, argv, per_call):
+        code, expected, _ = run_cli(argv)
+        sink = _Trickle(per_call)
+        assert cli.run(argv, sink, io.BytesIO()) == code == 0
+        assert bytes(sink.taken) == expected
+
+    @pytest.mark.parametrize("per_call", [4096, 1])
+    @pytest.mark.parametrize("fmt", graph.EXPORT_FORMATS)
+    def test_export_sink_takes_every_byte(self, fmt, per_call):
+        expected, sink = io.BytesIO(), _Trickle(per_call)
+        graph.export(JohnsonParams(5, 3), fmt, expected)
+        graph.export(JohnsonParams(5, 3), fmt, sink)
+        assert bytes(sink.taken) == expected.getvalue()
+
+    def test_a_write_that_returns_none_is_complete(self):
+        expected, sink = io.BytesIO(), _Collector()
+        graph.export(JohnsonParams(5, 3), "dot", expected)
+        graph.export(JohnsonParams(5, 3), "dot", sink)
+        assert b"".join(sink.parts) == expected.getvalue()
+
+    def test_a_write_that_takes_no_byte_raises(self):
+        with pytest.raises(OSError, match="took none of 10 bytes"):
+            graph._write_all(_Trickle(0), b"0123456789")
 
 
 class TestStreamMemory:

@@ -3,7 +3,7 @@
 The goldens were recorded from the CLI's own output. This module parses the
 stdout of ``gen`` in all three formats, ``cliques --class all`` and
 ``partition`` for every pair of the acceptance range (m 2..4, n 3..9) and
-for J(14,4), whose 1,001 vertices and 2,366 clique lines span more than one
+for J(14,4), whose 20,020 edges and 2,366 clique lines span more than one
 write of each stream, and compares it with the oracle's graph: the edges
 with its rows, the clique lines with its maximal cliques, and the partition
 with its edges. Label text is read by ``parse_label``; a defining set is
@@ -23,7 +23,6 @@ import pytest
 import johnson_cliques.cli as cli
 from johnson_cliques import JohnsonParams, materialize, maximal_cliques, parse_label
 from johnson_cliques.combinat import _CHUNK_LINES
-from johnson_cliques.graph import _CHUNK_VERTICES
 from helpers import colex_subsets
 
 PAIRS = [(n, m) for m in range(2, 5) for n in range(m + 1, 10)] + [(14, 4)]
@@ -91,7 +90,7 @@ def vertex_tuples(lines, n, m):
 
 
 def test_j_14_4_spans_more_than_one_write():
-    assert len(oracle(14, 4)[1]) > _CHUNK_VERTICES
+    assert oracle(14, 4)[0].edge_total() == 20020 > _CHUNK_LINES
     assert len(stdout("cliques", "--n", 14, "--m", 4).splitlines()) == 2366 > _CHUNK_LINES
 
 

@@ -290,6 +290,8 @@ NON_INT_CALLS = {
     "are_adjacent_float": lambda: are_adjacent((1.5, 2), (1.5, 3)),
     "validate_label_str": lambda: validate_label(("1", "2"), 5),
     "validate_label_bool": lambda: validate_label((True, 2), 5),
+    "validate_label_bool_m": lambda: validate_label((1,), 5, True),
+    "validate_label_float_m": lambda: validate_label((1, 2), 5, 2.0),
     "rank_float": lambda: rank((1.5, 2), 5),
     "neighbors_float": lambda: neighbors((1.5, 2), JohnsonParams(5, 2)),
     "binomial_float_n": lambda: binomial(5.5, 2),

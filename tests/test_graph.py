@@ -20,6 +20,7 @@ from johnson_cliques import (
     vertex_count,
 )
 import johnson_cliques.graph as graph
+from johnson_cliques.combinat import _CHUNK_LINES
 from johnson_cliques.graph import _swap_walk
 from helpers import (
     ACCEPTANCE_PAIRS,
@@ -310,7 +311,7 @@ class TestExport:
             export(JohnsonParams(5, 2), "dot", sink, max_vertices=cap)
         assert sink.getvalue() == b""
 
-    # J(4,3): the last vertex has no later neighbour. J(11,4): 330 vertices,
+    # J(4,3): the last vertex has no later neighbour. J(11,4): 4,620 edges,
     # more than one write's worth.
     @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])
     @pytest.mark.parametrize("n,m", [(8, 3), (9, 4), (4, 3), (11, 4)])
@@ -337,7 +338,7 @@ class TestExport:
         sink = WriteRecorder()
         export(JohnsonParams(n, m), fmt, sink)
         assert sink.getvalue() == (opening + body + closing).encode()
-        if len(labels) > graph._CHUNK_VERTICES:
+        if len(pairs) > _CHUNK_LINES:
             # the edges go out in more than one non-empty write
             assert len(sink.sizes) > 1
             assert max(sink.sizes) < len(body)
