@@ -192,7 +192,7 @@ def _cmd_gen(args, out, err) -> int:
         with open(args.out, "wb") as sink:
             graph.export(params, args.format, sink, max_vertices=cap)
     except OSError as exc:  # the open, a write or the flush at close
-        err.write(f"error: cannot write --out file: {exc}\n".encode())
+        graph._write_all(err, f"error: cannot write --out file: {exc}\n")
         return 1
     return 0
 
@@ -237,19 +237,19 @@ def _cmd_classify(args, out, err) -> int:
         payload = {"kind": result.kind.value, "min": h_min.to_dict(), "max": h_max.to_dict()}
     else:
         payload = {**result.extensions[0].to_dict(), "kind": result.kind.value}
-    graph._write_all(out, _dumps(payload).encode() + b"\n")
+    graph._write_all(out, _dumps(payload) + "\n")
     return 0
 
 
 def _cmd_extend(args, out, err) -> int:
     extensions = cliques.extend_to_maximal(_parse_clique(args))
-    graph._write_all(out, _dumps([h.to_dict() for h in extensions]).encode() + b"\n")
+    graph._write_all(out, _dumps([h.to_dict() for h in extensions]) + "\n")
     return 0
 
 
 def _cmd_partition(args, out, err) -> int:
     params = graph.JohnsonParams(args.n, args.m)
-    graph._write_all(out, f'{{"cp":{cliques.clique_partition_number(params)},"parts":['.encode())
+    graph._write_all(out, f'{{"cp":{cliques.clique_partition_number(params)},"parts":[')
     for chunk in _family_chunks(params, [cliques._partition_class(params)], b","):
         graph._write_all(out, chunk)
     graph._write_all(out, b"]}\n")
@@ -265,7 +265,7 @@ def _cmd_number(args, out, err) -> int:
         "clique_partition_number": cliques.clique_partition_number(params),
         "degenerate": params.degenerate,
     }
-    graph._write_all(out, _dumps(payload).encode() + b"\n")
+    graph._write_all(out, _dumps(payload) + "\n")
     return 0
 
 
@@ -277,22 +277,20 @@ def _cmd_verify(args, out, err) -> int:
     total = passed = skipped = 0
     summed = 0.0
     for result in oracle.verify_range(args.m_range, args.n_range, jobs=args.jobs, max_vertices=cap):
-        graph._write_all(out, _dumps(result.to_dict()).encode() + b"\n")
+        graph._write_all(out, _dumps(result.to_dict()) + "\n")
         total += 1
         if isinstance(result, oracle.SkippedPair):
             skipped += 1
             continue
         if isinstance(result, oracle.FailedPair):
-            err.write(result.trace.encode(errors="backslashreplace"))
+            graph._write_all(err, result.trace)
             continue
         passed += result.passed
         summed += sum(result.phase_seconds.values())
         if args.timings:
             seconds = {phase: round(s, 6) for phase, s in result.phase_seconds.items()}
-            err.write(
-                _dumps({"n": result.params.n, "m": result.params.m, "seconds": seconds,
-                        "counters": result.counters}).encode() + b"\n"
-            )
+            graph._write_all(err, _dumps({"n": result.params.n, "m": result.params.m,
+                                          "seconds": seconds, "counters": result.counters}) + "\n")
     wall = time.perf_counter() - start
     if not total:
         raise _UsageError(
@@ -300,10 +298,8 @@ def _cmd_verify(args, out, err) -> int:
             f"(need m >= 2 and m+1 <= n <= {combinat.MAX_GROUND_SET})"
         )
     note = f"; {skipped} skipped over the materialization cap {cap}" if skipped else ""
-    err.write(
-        f"{passed}/{total} pairs passed in {wall:.2f}s wall time "
-        f"({summed:.2f}s summed over pairs){note}\n".encode()
-    )
+    graph._write_all(err, f"{passed}/{total} pairs passed in {wall:.2f}s wall time "
+                          f"({summed:.2f}s summed over pairs){note}\n")
     if passed + skipped < total:
         return 3
     return 2 if skipped else 0
@@ -312,18 +308,22 @@ def _cmd_verify(args, out, err) -> int:
 def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
     """Parse ``argv`` and run one subcommand, writing UTF-8 bytes to the byte
     streams ``out`` and ``err``, which it flushes before it returns and never closes.
-    Each write to ``out`` goes through graph._write_all(), so ``out`` takes every byte."""
+    Each write goes through graph._write_all(), so both take every byte. A
+    stream with no callable write, or a text stream, is refused before
+    parsing (ValidationError) and nothing is written."""
+    graph._check_sink("out", out)
+    graph._check_sink("err", err)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, out, err)
     except _UsageError as exc:
-        err.write(f"usage error: {exc}\n".encode(errors="backslashreplace"))
+        graph._write_all(err, f"usage error: {exc}\n")
         return 1
     except _Help as exc:
-        graph._write_all(out, exc.args[0].encode())
+        graph._write_all(out, exc.args[0])
         return 0
     except ValidationError as exc:
-        err.write(f"error: {exc}\n".encode(errors="backslashreplace"))
+        graph._write_all(err, f"error: {exc}\n")
         return 2
     finally:
         # A buffered stdout whose reader has gone fails here, inside main's
@@ -335,17 +335,16 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:], sys.stdout.buffer, sys.stderr.buffer)
-    except BrokenPipeError:
-        # The reader of stdout left early, as ``| head`` does. As the Python
-        # signal docs advise, point stdout at devnull so that the flush at
-        # exit cannot fail again, and exit as a shell reports SIGPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
     except OSError as exc:
-        # A write to stdout failed, as on a full disk: devnull takes the rest.
+        # A write to stdout failed. As the Python signal docs advise, point
+        # stdout at devnull so that the flush at exit cannot fail again. A
+        # reader gone early, as under ``| head``, exits as a shell reports SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.buffer.write(f"error: {exc}\n".encode())
-        code = 1
+        if isinstance(exc, BrokenPipeError):
+            code = 141
+        else:
+            graph._write_all(sys.stderr.buffer, f"error: {exc}\n")
+            code = 1
     raise SystemExit(code)
 
 

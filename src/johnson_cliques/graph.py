@@ -199,12 +199,20 @@ def _check_knob(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be at least 1, got {value}")
 
 
-def _write_all(sink: BinaryIO, data: bytes) -> None:
+def _check_sink(name: str, sink: BinaryIO) -> None:
+    """Refuse a ``sink`` with no callable write, or a text stream's, which takes str."""
+    if isinstance(sink, io.TextIOBase) or not callable(getattr(sink, "write", None)):
+        raise ValidationError(f"{name} must have a callable write that takes bytes, got {sink!r}")
+
+
+def _write_all(sink: BinaryIO, data: bytes | str) -> None:
     """Write ``data`` to ``sink`` until it has taken every byte: a raw
     stream's write may take fewer bytes than it is given, and returns how
     many. A write that returns None counts as complete, as a plain
-    collector's does; one that takes no byte raises OSError."""
-    view = data
+    collector's does; one that takes no byte raises OSError. The package's
+    one writer and one encoder: a str goes out as UTF-8, a lone surrogate
+    as its backslash escape."""
+    view = data.encode(errors="backslashreplace") if isinstance(data, str) else data
     while (done := sink.write(view)) is not None and done < len(view):
         if not done:
             raise OSError(f"{sink!r} took none of {len(view)} bytes")
@@ -234,8 +242,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
-    if isinstance(sink, io.TextIOBase) or not callable(getattr(sink, "write", None)):
-        raise ValidationError(f"sink must have a callable write that takes bytes, got {sink!r}")
+    _check_sink("sink", sink)
     _check_cap(p, DEFAULT_EXPORT_CAP if max_vertices is None else max_vertices, "export")
     labels, walk = _swap_walk(p)
     digits = [str(e) for e in range(p.n + 1)]
@@ -267,10 +274,10 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
         for head, later in zip(heads, walk(names))
         if later
     )
-    _write_all(sink, opening.encode())
+    _write_all(sink, opening)
     lead = ""
     while chunk := list(islice(blocks, combinat._CHUNK_LINES // (p.m * (p.n - p.m)))):
-        _write_all(sink, (lead + sep.join(chunk)).encode())
+        _write_all(sink, lead + sep.join(chunk))
         lead = sep
-    _write_all(sink, closing.encode())
+    _write_all(sink, closing)
 

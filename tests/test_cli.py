@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -5,7 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+from functools import partial
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ from johnson_cliques import (
     JohnsonParams,
     RegimeError,
     SkippedPair,
+    ValidationError,
     binomial,
     clique_partition,
     edge_count,
@@ -408,6 +413,25 @@ PARTIAL_RUNS = [
 ] + [(argv, 4096) for argv in _bulk_argvs("9", "4")[:3] + _bulk_argvs("16", "4")[3:]]
 
 
+def _partition_that_raises(p):
+    raise KeyError("boom")
+
+
+_VERIFY_TIMED = ["verify", "--m-range", "3..3", "--n-range", "5..5", "--timings"]
+
+# Every kind of stderr text: a usage error, a validation error, an --out
+# error, the --timings and summary lines, and a failed pair's trace.
+ERR_RUNS = [
+    ("usage", ["adj", "--n", "5"], None),
+    ("validation", ["adj", "--n", "5", "--m", "3", "{1,2}", "{1,3,4}"], None),
+    ("out-file", ["gen", "--n", "4", "--m", "2", "--format", "dot", "--out", "/nonexistent/x"],
+     None),
+    ("timings", _VERIFY_TIMED, None),
+    ("check-raises", _VERIFY_TIMED,
+     lambda mp: mp.setattr("johnson_cliques.cliques.clique_partition", _partition_that_raises)),
+]
+
+
 class TestPartialWrites:
     @pytest.mark.parametrize(
         "argv,per_call", PARTIAL_RUNS, ids=[f"{' '.join(a)}-{k}" for a, k in PARTIAL_RUNS]
@@ -435,6 +459,66 @@ class TestPartialWrites:
     def test_a_write_that_takes_no_byte_raises(self):
         with pytest.raises(OSError, match="took none of 10 bytes"):
             graph._write_all(_Trickle(0), b"0123456789")
+
+    @pytest.mark.parametrize("per_call", [8, 1])
+    @pytest.mark.parametrize("argv,patch", [r[1:] for r in ERR_RUNS], ids=[r[0] for r in ERR_RUNS])
+    def test_cli_err_takes_every_byte(self, monkeypatch, argv, patch, per_call):
+        if patch:
+            patch(monkeypatch)
+
+        def run(err):
+            # A fresh clock per run, so both runs write the same seconds.
+            monkeypatch.setattr(time, "perf_counter", partial(next, count(0, 0.25)))
+            return cli.run(argv, io.BytesIO(), err)
+
+        expected, sink = io.BytesIO(), _Trickle(per_call)
+        assert run(sink) == run(expected)
+        assert bytes(sink.taken) == expected.getvalue()
+
+
+def _attribute_calls(tree, attr):
+    """The calls of a ``.attr`` attribute anywhere in ``tree``."""
+    return {
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    }
+
+
+class TestOneWritePath:
+    # graph._write_all is the package's one writer and one encoder; the
+    # clique streams encode their byte templates once per family.
+    @pytest.mark.parametrize(
+        "attr,owners",
+        [("write", {"graph._write_all"}), ("encode", {"graph._write_all", "cli._family_chunks"})],
+    )
+    def test_every_call_lies_in_its_owners(self, attr, owners):
+        owned, stray = set(), []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" in owners:
+                    allowed |= _attribute_calls(node, attr)
+                    owned.add(f"{path.stem}.{node.name}")
+            stray += [f"{path.name}:{c.lineno}" for c in _attribute_calls(tree, attr) - allowed]
+        assert owned == owners
+        assert stray == []
+
+    # A text stream has a callable write, but one that takes str, not the
+    # bytes run() writes. The first argv writes only to out, the second
+    # only to err.
+    @pytest.mark.parametrize(
+        "argv", [["number", "--n", "5", "--m", "3"], ["adj", "--n", "5", "--m", "3", "{1,2}", "{1,2,3}"]]
+    )
+    @pytest.mark.parametrize("stream", [5, None, "out.txt", io.StringIO()])
+    @pytest.mark.parametrize("slot", ["out", "err"])
+    def test_run_refuses_a_stream_without_a_byte_write(self, slot, stream, argv):
+        other = io.BytesIO()
+        out, err = (stream, other) if slot == "out" else (other, stream)
+        with pytest.raises(ValidationError, match=f"{slot} must have a callable write that takes bytes"):
+            cli.run(argv, out, err)
+        assert other.getvalue() == b""
 
 
 class TestStreamMemory:
