@@ -307,7 +307,8 @@ def _cmd_verify(args, out, err) -> int:
 
 def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
     """Parse ``argv`` and run one subcommand, writing UTF-8 bytes to the byte
-    streams ``out`` and ``err``, which it flushes before it returns and never closes.
+    streams ``out`` and ``err``, which it never closes and, where they have a
+    callable flush, flushes before it returns.
     Each write goes through graph._write_all(), so both take every byte. A
     stream with no callable write, or a text stream, is refused before
     parsing (ValidationError) and nothing is written."""
@@ -327,9 +328,11 @@ def run(argv: list[str], out: BinaryIO, err: BinaryIO) -> int:
         return 2
     finally:
         # A buffered stdout whose reader has gone fails here, inside main's
-        # BrokenPipeError handler, not in the flush at interpreter exit.
-        out.flush()
-        err.flush()
+        # BrokenPipeError handler, not in the flush at interpreter exit. A
+        # sink that export() takes needs only a write, so it may have no flush.
+        for stream in (out, err):
+            if callable(getattr(stream, "flush", None)):
+                stream.flush()
 
 
 def main() -> None:

@@ -91,14 +91,6 @@ class DenseGraph:
     def vertex_count(self) -> int:
         return len(self.rows)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        """Whether ij is an edge; ValidationError for an index that is not
-        an int in range(vertex_count)."""
-        nv = self.vertex_count
-        if type(i) is not int or type(j) is not int or not (0 <= i < nv and 0 <= j < nv):
-            raise ValidationError(f"vertex pair ({i!r}, {j!r}) is not in range({nv})")
-        return bool((self.rows[i] >> j) & 1)
-
     def edge_total(self) -> int:
         return _edge_total(self.rows)
 
@@ -344,16 +336,17 @@ def _covers_each_edge_once(
     return pairs == edges and all(c & ~bit == row for c, bit, row in zip(cover, bits, rows))
 
 
-def _index_tuples(
-    name: str,
-    family: tuple[cliques.MaximalClique, ...],
-    index: dict[combinat.Label, int],
-    notes: list[str],
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Each clique's members as their sorted vertex indices by ``index``, and
-    whether every member is a vertex label. A member that is not, unknown or
-    unhashable, is left out of its tuple, and one note in ``notes`` names the
-    first."""
+#: A closed-form class after the families phase; _index_tuples() builds it.
+_Class = tuple[str, tuple[cliques.MaximalClique, ...], list[tuple[int, ...]], bool]
+
+
+def _index_tuples(name: str, family: tuple[cliques.MaximalClique, ...],
+                  index: dict[combinat.Label, int], notes: list[str]) -> _Class:
+    """The class ``name`` as verify() holds it after the families phase:
+    ``name``, ``family``, each clique's members as their sorted vertex
+    indices by ``index``, and whether every member is a vertex label. A
+    member that is not, unknown or unhashable, is left out of its tuple, and
+    one note in ``notes`` names the first."""
     tuples, clean = [], True
     for h in family:
         indices = []
@@ -365,41 +358,64 @@ def _index_tuples(
                     notes.append(f"{name} family lists {member!r}, which is not a vertex label")
                 clean = False
         tuples.append(tuple(sorted(indices)))
-    return tuples, clean
+    return name, family, tuples, clean
 
 
 def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> VerificationReport:
-    """Run every closed-form claim for one (n, m) against the oracle. The
+    """Run every closed-form claim for one (n, m) against the oracle: each of
+    VERIFY_PHASES is one function, called in that order and timed once. The
     cap is materialize()'s: ``max_vertices``, or the default read at the call."""
     marks = [time.perf_counter()]
     labels, rows = _build(p, max_vertices)
     marks.append(time.perf_counter())
-    notes: list[str] = []
-    n, m = p.n, p.m
-
     bits = [1 << i for i in range(len(rows))]
     oracle, expand_calls = _bron_kerbosch(rows, bits)
     marks.append(time.perf_counter())
+    notes: list[str] = []
+    family_checks, classes, max_size, closed = _families(p, labels, oracle, notes)
+    marks.append(time.perf_counter())
+    edge_check, covers, edges = _edge_law(p, rows, bits, classes, notes)
+    marks.append(time.perf_counter())
+    partition_check = _partition(p, classes, covers, notes)
+    marks.append(time.perf_counter())
+    return VerificationReport(
+        params=p,
+        oracle_clique_count=len(oracle),
+        closed_form_count=closed,
+        checks={**family_checks, **edge_check, **partition_check},
+        max_clique_size_observed=max_size,
+        phase_seconds={phase: b - a for phase, a, b in zip(VERIFY_PHASES, marks, marks[1:])},
+        counters={"vertices": len(rows), "edges": edges, "expand_calls": expand_calls,
+                  "cliques_found": len(oracle)},
+        notes=tuple(notes),
+    )
+
+
+def _families(p: graph.JohnsonParams, labels: list[combinat.Label], oracle: list[tuple[int, ...]],
+              notes: list[str]) -> tuple[dict[str, bool], list[_Class], int, int]:
+    """The clique laws, each family against the oracle, and the clique
+    number; sorts ``oracle`` in place. Returns the checks, the classes, the
+    largest oracle clique and the count of distinct closed-form cliques."""
+    n, m = p.n, p.m
     max_size = max(map(len, oracle))
     oracle.sort()  # the order of maximal_cliques(), which the notes follow
 
     # A clique's common elements are the AND of its members' label masks.
     label_masks = [sum(1 << e for e in label) for label in labels]
-    # Keys in report order: sets_equal leads, but is decided after the laws.
-    checks = dict.fromkeys(("sets_equal", "intersection_sizes_ok", "size_laws_ok"), True)
+    intersections_ok = sizes_ok = True
     for members in oracle:
         shared = -1
         for i in members:
             shared &= label_masks[i]
         common = shared.bit_count()
         if common not in (0, m - 1):
-            checks["intersection_sizes_ok"] = False
+            intersections_ok = False
             labels_in = sorted(labels[i] for i in members)
             notes.append(f"clique {labels_in} has intersection size {common}")
             continue
         expected = m + 1 if common == 0 else n - m + 1
         if len(members) != expected:
-            checks["size_laws_ok"] = False
+            sizes_ok = False
             notes.append(f"clique with intersection size {common} has "
                          f"{len(members)} members, expected {expected}")
 
@@ -407,84 +423,72 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     index = {label: i for i, label in enumerate(labels)}
 
     # (class, cliques, k): each clique of a class is fixed by a k-set.
-    classes = [("class-min", tuple(cliques.enumerate_min_cliques(p)), m + 1)]
+    specs = [("class-min", tuple(cliques.enumerate_min_cliques(p)), m + 1)]
     if p.degenerate:
-        notes.append(
-            "degenerate regime (n == m+1): the graph is complete, the sole maximal "
-            "clique is the class-min one, and the class-max family is inapplicable"
-        )
+        notes.append("degenerate regime (n == m+1): the graph is complete, the sole maximal "
+                     "clique is the class-min one, and the class-max family is inapplicable")
     else:
-        classes.append(("class-max", tuple(cliques.enumerate_max_cliques(p)), m - 1))
+        specs.append(("class-max", tuple(cliques.enumerate_max_cliques(p)), m - 1))
     # Each clique as its sorted vertex indices: the sets are compared on
     # membership, and a member listed twice stays in the tuple. A family
     # that lists a member that is not a vertex label fails both checks.
-    tuples, clean = zip(
-        *[_index_tuples(name, family, index, notes) for name, family, _ in classes]
-    )
-    families = [set(family) for family in tuples]
+    classes = [_index_tuples(name, family, index, notes) for name, family, _ in specs]
+    families = [set(tuples) for _, _, tuples, _ in classes]
     closed = set().union(*families)
     if len(closed) < sum(map(len, families)):
         notes.append("class-min and class-max families overlap; they must be disjoint")
     found = set(oracle)
-    checks["sets_equal"] = all(clean) and found == closed and len(oracle) == len(closed)
     if found != closed:  # the first clique that each side lacks, by labels
         named = [f"oracle clique {sorted(labels[i] for i in c)} is in no family"
                  for c in oracle if c not in closed][:1]
         named += [f"the oracle lacks {name} clique {sorted(labels[i] for i in c)}"
-                  for (name, *_), f in zip(classes, tuples) for c in f if c not in found][:1]
+                  for name, _, tuples, _ in classes for c in tuples if c not in found][:1]
         notes.append("sets_equal failed: " + "; ".join(named))
-    for (name, _, k), family in zip(classes, families):
-        if len(family) != math.comb(n, k):
-            checks["sets_equal"] = False
-            notes.append(f"{name} family has {len(family)} cliques, expected C({n},{k})")
+    miscounted = [f"{name} family has {len(family)} cliques, expected C({n},{k})"
+                  for (name, _, k), family in zip(specs, families)
+                  if len(family) != math.comb(n, k)]
+    notes += miscounted
 
     omega = cliques.clique_number(p)
-    checks["clique_number_ok"] = max_size == omega
-    if not checks["clique_number_ok"]:
+    if max_size != omega:
         notes.append(f"observed maximum clique size {max_size}, formula gives {omega}")
-    marks.append(time.perf_counter())
+    sets_equal = found == closed and len(oracle) == len(closed) and not miscounted
+    checks = {"sets_equal": sets_equal and all(clean for *_, clean in classes),
+              "intersection_sizes_ok": intersections_ok, "size_laws_ok": sizes_ok,
+              "clique_number_ok": max_size == omega}
+    return checks, classes, max_size, len(closed)
 
+
+def _edge_law(p: graph.JohnsonParams, rows: tuple[int, ...], bits: list[int],
+              classes: list[_Class], notes: list[str]) -> tuple[dict[str, bool], list[bool], int]:
+    """edge_count() against the graph's edge total, and each class's cover of
+    the graph. Returns the check, each class's cover verdict and the edge total."""
     edges = _edge_total(rows)
-    covers = [ok and _covers_each_edge_once(f, rows, edges, bits) for f, ok in zip(tuples, clean)]
+    covers = [clean and _covers_each_edge_once(tuples, rows, edges, bits)
+              for _, _, tuples, clean in classes]
     counted = graph.edge_count(p)
-    checks["edge_law_ok"] = counted == edges and all(covers)
     if counted != edges:
         notes.append(f"edge law failed: edge_count gives {counted}, the graph has {edges} edges")
     if not all(covers):
         notes.append("edge law failed: some edge is not in exactly one clique per class")
-    marks.append(time.perf_counter())
+    return {"edge_law_ok": counted == edges and all(covers)}, covers, edges
 
+
+def _partition(p: graph.JohnsonParams, classes: list[_Class], covers: list[bool],
+               notes: list[str]) -> dict[str, bool]:
     parts = cliques.clique_partition(p).parts
     # Each edge lies in exactly one clique of each class, so the only
     # partition into cliques of one class is that class's whole family:
-    # the parts must be, in order, a family whose cover passed above.
+    # the parts must be, in order, a family whose cover passed the edge law.
     number = cliques.clique_partition_number(p)
-    checks["partition_ok"] = len(parts) == number and any(
-        ok and family == parts for (_, family, _), ok in zip(classes, covers)
+    ok = len(parts) == number and any(
+        covered and family == parts for (_, family, *_), covered in zip(classes, covers)
     )
-    if not checks["partition_ok"]:
-        sizes = ", ".join(f"{name} {len(family)}" for name, family, _ in classes)
+    if not ok:
+        sizes = ", ".join(f"{name} {len(family)}" for name, family, *_ in classes)
         notes.append(f"partition failed: part count {len(parts)}, clique_partition_number "
                      f"gives {number}; family sizes: {sizes}")
-    marks.append(time.perf_counter())
-
-    return VerificationReport(
-        params=p,
-        oracle_clique_count=len(oracle),
-        closed_form_count=len(closed),
-        checks=checks,
-        max_clique_size_observed=max_size,
-        phase_seconds={
-            phase: end - start for phase, start, end in zip(VERIFY_PHASES, marks, marks[1:])
-        },
-        counters={
-            "vertices": len(rows),
-            "edges": edges,
-            "expand_calls": expand_calls,
-            "cliques_found": len(oracle),
-        },
-        notes=tuple(notes),
-    )
+    return {"partition_ok": ok}
 
 
 def verify_range(

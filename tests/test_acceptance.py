@@ -111,7 +111,7 @@ def test_criterion_4_edge_membership(oracle_cache, capsys):
             frozenset((labels[i], labels[j]))
             for i in range(g.vertex_count)
             for j in range(i + 1, g.vertex_count)
-            if g.adjacent(i, j)
+            if (g.rows[i] >> j) & 1
         }
         for family in (enumerate_min_cliques(p), enumerate_max_cliques(p)):
             marks = {key: 0 for key in edge_keys}
@@ -180,7 +180,7 @@ def test_criterion_6_partition(oracle_cache, capsys):
             frozenset((labels[i], labels[j])): 0
             for i in range(g.vertex_count)
             for j in range(i + 1, g.vertex_count)
-            if g.adjacent(i, j)
+            if (g.rows[i] >> j) & 1
         }
         for h in part.parts:
             for a, b in combinations(h.members(), 2):

@@ -92,7 +92,6 @@ TABLE = {
         {0: {"empty", "unsorted"}},
         {0: {"later_float_row": (0b10, 1.5)}},
     ),
-    "DenseGraph.adjacent": (EDGE.adjacent, (0, 1), {}, {}),
     "materialize": (johnson_cliques.materialize, (P, 100), {1: {"none", "huge"}}, {}),
     "maximal_cliques": (johnson_cliques.maximal_cliques, (EDGE,), {}, {}),
     "verify": (johnson_cliques.verify, (P, 100), {1: {"none", "huge"}}, {}),

@@ -475,6 +475,21 @@ class TestPartialWrites:
         assert run(sink) == run(expected)
         assert bytes(sink.taken) == expected.getvalue()
 
+    @pytest.mark.parametrize("slot", ["out", "err"])
+    def test_a_stream_without_flush_takes_every_byte(self, monkeypatch, slot):
+        # run() takes what export() takes, a sink with only a write. verify
+        # writes its report line to out and its summary line to err.
+        argv = ["verify", "--m-range", "3..3", "--n-range", "5..5"]
+
+        def run(stream):
+            monkeypatch.setattr(time, "perf_counter", partial(next, count(0, 0.25)))
+            other = io.BytesIO()
+            return cli.run(argv, *((stream, other) if slot == "out" else (other, stream)))
+
+        expected, sink = io.BytesIO(), _Collector()
+        assert run(sink) == run(expected) == 0
+        assert b"".join(sink.parts) == expected.getvalue() != b""
+
 
 def _attribute_calls(tree, attr):
     """The calls of a ``.attr`` attribute anywhere in ``tree``."""
