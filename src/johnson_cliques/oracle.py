@@ -323,7 +323,14 @@ def _covers_each_edge_once(
     pairs, each covered pair at least once and a member listed twice more
     than that; a total of exactly ``edges`` leaves no pair counted twice.
     """
-    cover = [0] * len(rows)
+    cover, pairs = _cover(family, bits)
+    return pairs == edges and cover == rows
+
+
+def _cover(family: Iterable[tuple[int, ...]], bits: list[int]) -> tuple[tuple[int, ...], int]:
+    """The cover rows of these cliques, with the diagonal cleared, and the
+    pairs they count; see _covers_each_edge_once()."""
+    cover = [0] * len(bits)
     pairs = 0
     for members in family:
         mask = 0
@@ -333,7 +340,24 @@ def _covers_each_edge_once(
             cover[i] |= mask
         size = len(members)
         pairs += size * (size - 1) // 2
-    return pairs == edges and all(c & ~bit == row for c, bit, row in zip(cover, bits, rows))
+    return tuple(c & ~bit for c, bit in zip(cover, bits)), pairs
+
+
+def _cover_fault(
+    family: list[tuple[int, ...]], labels: list[combinat.Label], rows: tuple[int, ...],
+    edges: int, bits: list[int],
+) -> str:
+    """What is wrong with a family that failed _covers_each_edge_once(): the
+    first pair, by labels, whose cover bit differs from its adjacency bit,
+    or else its pair count against ``edges``."""
+    cover, pairs = _cover(family, bits)
+    for i, (c, row) in enumerate(zip(cover, rows)):
+        if diff := c ^ row:
+            j = (diff & -diff).bit_length() - 1
+            if row & bits[j]:
+                return f"leaves the edge between {labels[i]} and {labels[j]} uncovered"
+            return f"covers {labels[i]} and {labels[j]}, which are not adjacent"
+    return f"counts {pairs} pairs, the graph has {edges} edges"
 
 
 #: A closed-form class after the families phase; _index_tuples() builds it.
@@ -374,7 +398,7 @@ def verify(p: graph.JohnsonParams, max_vertices: int | None = None) -> Verificat
     notes: list[str] = []
     family_checks, classes, max_size, closed = _families(p, labels, oracle, notes)
     marks.append(time.perf_counter())
-    edge_check, covers, edges = _edge_law(p, rows, bits, classes, notes)
+    edge_check, covers, edges = _edge_law(p, labels, rows, bits, classes, notes)
     marks.append(time.perf_counter())
     partition_check = _partition(p, classes, covers, notes)
     marks.append(time.perf_counter())
@@ -459,18 +483,24 @@ def _families(p: graph.JohnsonParams, labels: list[combinat.Label], oracle: list
     return checks, classes, max_size, len(closed)
 
 
-def _edge_law(p: graph.JohnsonParams, rows: tuple[int, ...], bits: list[int],
-              classes: list[_Class], notes: list[str]) -> tuple[dict[str, bool], list[bool], int]:
+def _edge_law(
+    p: graph.JohnsonParams, labels: list[combinat.Label], rows: tuple[int, ...], bits: list[int],
+    classes: list[_Class], notes: list[str],
+) -> tuple[dict[str, bool], list[bool], int]:
     """edge_count() against the graph's edge total, and each class's cover of
-    the graph. Returns the check, each class's cover verdict and the edge total."""
+    the graph; a note names what each failed cover got wrong. Returns the
+    check, each class's cover verdict and the edge total."""
     edges = _edge_total(rows)
     covers = [clean and _covers_each_edge_once(tuples, rows, edges, bits)
               for _, _, tuples, clean in classes]
     counted = graph.edge_count(p)
     if counted != edges:
         notes.append(f"edge law failed: edge_count gives {counted}, the graph has {edges} edges")
-    if not all(covers):
-        notes.append("edge law failed: some edge is not in exactly one clique per class")
+    for (name, _, tuples, clean), covered in zip(classes, covers):
+        if not covered:
+            fault = (_cover_fault(tuples, labels, rows, edges, bits) if clean
+                     else "lists a member that is not a vertex label")
+            notes.append(f"edge law failed: {name} family {fault}")
     return {"edge_law_ok": counted == edges and all(covers)}, covers, edges
 
 

@@ -581,14 +581,18 @@ class TestVerify:
         assert not report.passed
 
     @pytest.mark.parametrize(
-        "family,note",
+        "family,name,note",
         [
-            ("enumerate_min_cliques", "class-min family has 4 cliques, expected C(5,4)"),
-            ("enumerate_max_cliques", "class-max family has 9 cliques, expected C(5,2)"),
+            ("enumerate_min_cliques", "class-min",
+             "class-min family has 4 cliques, expected C(5,4)"),
+            ("enumerate_max_cliques", "class-max",
+             "class-max family has 9 cliques, expected C(5,2)"),
         ],
         ids=["enumerate_min_cliques", "enumerate_max_cliques"],
     )
-    def test_dropped_clique_is_reported(self, monkeypatch, family, note):
+    def test_dropped_clique_is_reported(self, monkeypatch, family, name, note):
+        # Each family's first clique holds {1,2,3} and {1,2,4}, the first
+        # pair of vertices; with it gone, nothing covers their edge.
         real = getattr(johnson_cliques, family)
         patched = f"johnson_cliques.cliques.{family}"
         monkeypatch.setattr(patched, lambda p: list(real(p))[1:])
@@ -597,23 +601,31 @@ class TestVerify:
         assert not report.checks["edge_law_ok"]
         assert not report.passed
         assert note in report.notes
+        assert [n for n in report.notes if n.startswith("edge law failed: ")] == [
+            f"edge law failed: {name} family leaves the edge between (1, 2, 3) and (1, 2, 4) "
+            "uncovered"
+        ]
 
     @pytest.mark.parametrize(
-        "family,partition_notes",
+        "family,edge_note,partition_notes",
         [
-            ("enumerate_min_cliques", ()),
+            # A clique of class min has 4 members, 6 pairs; of class max, 3.
+            ("enumerate_min_cliques",
+             "edge law failed: class-min family counts 36 pairs, the graph has 30 edges", ()),
             # J(5,3) is partitioned by its class-max family, which the
             # duplicate no longer equals.
-            ("enumerate_max_cliques", (
+            ("enumerate_max_cliques",
+             "edge law failed: class-max family counts 33 pairs, the graph has 30 edges", (
                 "partition failed: part count 10, clique_partition_number gives 10; "
                 "family sizes: class-min 5, class-max 11",
             )),
         ],
         ids=["enumerate_min_cliques", "enumerate_max_cliques"],
     )
-    def test_duplicated_clique_is_reported(self, monkeypatch, family, partition_notes):
+    def test_duplicated_clique_is_reported(self, monkeypatch, family, edge_note, partition_notes):
         # The duplicate leaves the set of cliques and its size unchanged;
-        # only the edge law sees that its edges are covered twice.
+        # only the edge law sees that its edges are covered twice: every
+        # edge is covered, and the pair count is too high.
         real = getattr(johnson_cliques, family)
         patched = f"johnson_cliques.cliques.{family}"
         monkeypatch.setattr(patched, lambda p: [*real(p), next(real(p))])
@@ -621,10 +633,7 @@ class TestVerify:
         assert report.checks["sets_equal"]
         assert not report.checks["edge_law_ok"]
         assert not report.passed
-        assert report.notes == (
-            "edge law failed: some edge is not in exactly one clique per class",
-            *partition_notes,
-        )
+        assert report.notes == (edge_note, *partition_notes)
 
     def test_wrong_clique_number_is_reported(self, monkeypatch):
         real = johnson_cliques.clique_number
@@ -700,6 +709,11 @@ class TestVerify:
         assert not report.checks["edge_law_ok"]
         assert not report.passed
         assert note in report.notes
+        # Each family lists the stray, so neither cover is built.
+        assert [n for n in report.notes if n.startswith("edge law failed: ")] == [
+            f"edge law failed: {name} family lists a member that is not a vertex label"
+            for name in ("class-min", "class-max")
+        ]
 
     def test_members_in_another_order_pass(self, monkeypatch):
         # The families are compared with the oracle on membership alone.
@@ -793,11 +807,12 @@ class TestVerify:
         assert not report.passed
 
     @pytest.mark.parametrize(
-        "u,v",
-        [((1, 2, 3), (1, 4, 5)), ((1, 2, 3), (1, 2, 4))],
+        "u,v,fault",
+        [((1, 2, 3), (1, 4, 5), "leaves the edge between (1, 2, 3) and (1, 4, 5) uncovered"),
+         ((1, 2, 3), (1, 2, 4), "covers (1, 2, 3) and (1, 2, 4), which are not adjacent")],
         ids=["extra_bit", "dropped_bit"],
     )
-    def test_one_sided_row_fault_fails_verify(self, monkeypatch, u, v):
+    def test_one_sided_row_fault_fails_verify(self, monkeypatch, u, v, fault):
         # verify()'s rows skip the symmetry pass, so a row build that flips
         # bit v of row u alone must fail the checks, not slip through.
         real = oracle._build
@@ -814,6 +829,9 @@ class TestVerify:
         assert {key for key, ok in report.checks.items() if not ok} >= {
             "sets_equal", "intersection_sizes_ok", "edge_law_ok", "partition_ok"
         }
+        # Each family's cover names the first pair whose bit it disagrees on.
+        for name in ("class-min", "class-max"):
+            assert f"edge law failed: {name} family {fault}" in report.notes
 
     def test_clique_notes_follow_maximal_cliques_order(self, monkeypatch):
         # The search finds these two faulty cliques in the reverse of their
@@ -986,7 +1004,9 @@ class TestSecondOracle:
         nv = g.vertex_count
         graph = nx.Graph()
         graph.add_nodes_from(range(nv))
-        graph.add_edges_from((i, j) for i in range(nv) for j in range(i + 1, nv) if (g.rows[i] >> j) & 1)
+        graph.add_edges_from(
+            (i, j) for i in range(nv) for j in range(i + 1, nv) if (g.rows[i] >> j) & 1
+        )
         assert sorted(tuple(sorted(cl)) for cl in nx.find_cliques(graph)) == cliques
 
 
