@@ -16,10 +16,11 @@ the tests check that DenseGraph accepts them. materialize() still hands
 them to DenseGraph, which checks them. Its labels are every
 m-combination of {1..n} sorted by the reversed tuple, colex order by its
 definition, so it shares no colex stepper with the streams and enumerations
-it checks. The edge law
+it checks. verify() runs VERIFY_PHASES as one function each. The edge law
 compares edge_count() with the graph's own edge total and covers that graph
-with each family; the partition passes only when its parts are, in order, a
-family whose cover passed, so no part is mapped to vertices a second time.
+with each family, and a failed cover names its first wrong pair; the
+partition passes only when its parts are, in order, a family whose cover
+passed, so no part is mapped to vertices a second time.
 verify() looks up each closed form it checks in its own module at the call
 (``cliques.clique_number``, ``graph.edge_count``, ``members()`` on the
 clique's class) and binds none at import: each claim has one binding, so a
@@ -309,12 +310,11 @@ class FailedPair:
         return {"n": self.params.n, "m": self.params.m, "passed": False, "error": self.error}
 
 
-def _covers_each_edge_once(
-    family: Iterable[tuple[int, ...]], rows: tuple[int, ...], edges: int, bits: list[int]
-) -> bool:
-    """Whether these cliques, each a tuple of vertex indices, cover every
-    edge of the graph on adjacency ``rows`` exactly once, and no non-edge
-    pair; ``edges`` is its edge total and ``bits[i]`` is ``1 << i``.
+def _cover(family: Iterable[tuple[int, ...]], bits: list[int]) -> tuple[tuple[int, ...], int]:
+    """The cover rows of these cliques, each a tuple of vertex indices, and
+    the pairs they count; ``bits[i]`` is ``1 << i``. The two equal
+    ``(rows, edges)``, the adjacency rows and edge total of a graph, exactly
+    when the cliques cover every edge of that graph once and no non-edge pair.
 
     Each member's cover row ORs in its clique's mask, itself an OR, so a
     member listed twice sets its bit once; with the diagonal cleared, the
@@ -323,13 +323,6 @@ def _covers_each_edge_once(
     pairs, each covered pair at least once and a member listed twice more
     than that; a total of exactly ``edges`` leaves no pair counted twice.
     """
-    cover, pairs = _cover(family, bits)
-    return pairs == edges and cover == rows
-
-
-def _cover(family: Iterable[tuple[int, ...]], bits: list[int]) -> tuple[tuple[int, ...], int]:
-    """The cover rows of these cliques, with the diagonal cleared, and the
-    pairs they count; see _covers_each_edge_once()."""
     cover = [0] * len(bits)
     pairs = 0
     for members in family:
@@ -347,9 +340,9 @@ def _cover_fault(
     family: list[tuple[int, ...]], labels: list[combinat.Label], rows: tuple[int, ...],
     edges: int, bits: list[int],
 ) -> str:
-    """What is wrong with a family that failed _covers_each_edge_once(): the
-    first pair, by labels, whose cover bit differs from its adjacency bit,
-    or else its pair count against ``edges``."""
+    """What is wrong with a family whose _cover() is not ``(rows, edges)``:
+    the first pair, by labels, whose cover bit differs from its adjacency
+    bit, or else its pair count against ``edges``."""
     cover, pairs = _cover(family, bits)
     for i, (c, row) in enumerate(zip(cover, rows)):
         if diff := c ^ row:
@@ -491,8 +484,7 @@ def _edge_law(
     the graph; a note names what each failed cover got wrong. Returns the
     check, each class's cover verdict and the edge total."""
     edges = _edge_total(rows)
-    covers = [clean and _covers_each_edge_once(tuples, rows, edges, bits)
-              for _, _, tuples, clean in classes]
+    covers = [clean and _cover(tuples, bits) == (rows, edges) for _, _, tuples, clean in classes]
     counted = graph.edge_count(p)
     if counted != edges:
         notes.append(f"edge law failed: edge_count gives {counted}, the graph has {edges} edges")
@@ -506,6 +498,7 @@ def _edge_law(
 
 def _partition(p: graph.JohnsonParams, classes: list[_Class], covers: list[bool],
                notes: list[str]) -> dict[str, bool]:
+    """clique_partition() against the families whose cover passed; returns the check."""
     parts = cliques.clique_partition(p).parts
     # Each edge lies in exactly one clique of each class, so the only
     # partition into cliques of one class is that class's whole family:

@@ -303,7 +303,7 @@ OCTAHEDRON_PARTITION = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
 
 def covers_each_edge_once(cliques, g):
     bits = [1 << i for i in range(g.vertex_count)]
-    return oracle._covers_each_edge_once(cliques, g.rows, g.edge_total(), bits)
+    return oracle._cover(cliques, bits) == (g.rows, g.edge_total())
 
 
 class TestCoversEachEdgeOnce:
