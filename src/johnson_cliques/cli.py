@@ -89,35 +89,24 @@ def _env_cap(default: int) -> int:
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _family_chunks(
+def _family_blocks(
     p: graph.JohnsonParams, kinds: list[cliques.CliqueClass], sep: bytes
-) -> Iterator[bytes]:
-    """The bytes of ``_dumps(h.to_dict())`` for each clique h of the
-    families of ``kinds``, one family after the other, each in colex order
-    of the defining sets, joined by ``sep``: as byte strings of whole runs
-    and at most _CHUNK_LINES lines, each one after the first led by ``sep``.
-
-    Each line is a precomputed head ``{"class":..,"set":[a`` plus the text
-    of the larger elements and the fixed tail, so a run of
-    combinat._colex_runs() is one join of the head texts it slices off its
-    table around the run's shared text.
+) -> Iterator[tuple[int, bytes]]:
+    """The lines ``_dumps(h.to_dict())`` of each clique h of the families of
+    ``kinds``, one family after the other, each in colex order of the
+    defining sets, as graph._write_stream() blocks: one per run of
+    combinat._colex_runs(), its lines joined by ``sep``. The first clique's
+    line is cut around its set's JSON list, brackets included, into the head
+    and tail that each line's set goes between.
     """
-    n = p.n
-    chunk, lines = [], 0
     for kind in kinds:
-        k, size = cliques._class_shape(p, kind)
-        head = f'{{"class":"{kind.value}","set":['
-        heads = [f"{head}{e}".encode() for e in range(n + 1)]
-        elements = [f",{e}".encode() for e in range(n + 1)]
-        tail = f'],"n":{n},"m":{p.m},"size":{size}}}'.encode()
-        for prefixes, rest in combinat._colex_runs(n, k, heads, elements, tail):
-            count = len(prefixes)
-            if lines + count > combinat._CHUNK_LINES:
-                yield sep.join(chunk)
-                chunk, lines = [b""], 0
-            chunk.append((rest + sep).join(prefixes) + rest)
-            lines += count
-    yield sep.join(chunk)
+        k = cliques._class_shape(p, kind)[0]
+        first = cliques.MaximalClique(p, kind, tuple(range(1, k + 1)))
+        head, _, tail = _dumps(first.to_dict()).partition(_dumps(list(first.defining_set)))
+        heads = [f"{head}[{e}".encode() for e in range(p.n + 1)]
+        elements = [f",{e}".encode() for e in range(p.n + 1)]
+        for prefixes, rest in combinat._colex_runs(p.n, k, heads, elements, f"]{tail}".encode()):
+            yield len(prefixes), (rest + sep).join(prefixes) + rest
 
 
 @cache
@@ -217,9 +206,7 @@ def _cmd_cliques(args, out, err) -> int:
     else:
         kinds = [cliques.CliqueClass.MIN, cliques.CliqueClass.MAX]
     # Both families are non-empty, so the stream has at least one line.
-    for chunk in _family_chunks(params, kinds, b"\n"):
-        graph._write_all(out, chunk)
-    graph._write_all(out, b"\n")
+    graph._write_stream(out, b"", _family_blocks(params, kinds, b"\n"), b"\n", b"\n")
     return 0
 
 
@@ -249,10 +236,9 @@ def _cmd_extend(args, out, err) -> int:
 
 def _cmd_partition(args, out, err) -> int:
     params = graph.JohnsonParams(args.n, args.m)
-    graph._write_all(out, f'{{"cp":{cliques.clique_partition_number(params)},"parts":[')
-    for chunk in _family_chunks(params, [cliques._partition_class(params)], b","):
-        graph._write_all(out, chunk)
-    graph._write_all(out, b"]}\n")
+    opening = f'{{"cp":{cliques.clique_partition_number(params)},"parts":['
+    blocks = _family_blocks(params, [cliques._partition_class(params)], b",")
+    graph._write_stream(out, opening, blocks, b",", b"]}\n")
     return 0
 
 

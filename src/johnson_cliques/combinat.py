@@ -31,6 +31,8 @@ MAX_GROUND_SET = 62
 #: values in the prefix table of _colex_runs(), so a run fits in one write.
 _CHUNK_LINES = 2048
 
+#: A label's text, as format_label() and export()'s edgelist write it.
+_LABEL_TEXT = ("{", ",", "}")
 _LABEL_RE = re.compile(r"\{(\d+(?:,\d+)*)\}\Z", re.ASCII)
 
 
@@ -102,7 +104,8 @@ def format_label(label: Label) -> str:
     """Render a label in the canonical ``{a,b,c}`` form; ValidationError for
     a label that validate_label() refuses."""
     validate_label(label, MAX_GROUND_SET)
-    return "{" + ",".join(str(e) for e in label) + "}"
+    opening, between, closing = _LABEL_TEXT
+    return opening + between.join(map(str, label)) + closing
 
 
 def _insertions(label: Label, n: int) -> list[tuple[int, Label, Label, range]]:

@@ -8,16 +8,16 @@ materialize. The bulk paths (the edge stream and export) hold all C(n, m)
 labels and their bit masks, and walk the single swaps of each label to find
 its later neighbours only, already ascending: each edge is found once, from
 its colex-smaller end, as the value its caller gave that neighbour (a label,
-or export's text of it). No write of export() holds more than
-combinat._CHUNK_LINES edges, the bound of every bulk stream.
+or export's text of it). _write_stream() cuts every bulk stream, export's
+and the CLI's, into writes of at most combinat._CHUNK_LINES lines.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, zip_longest
-from typing import BinaryIO, Callable, Iterable, Iterator
+from itertools import chain, combinations, zip_longest
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from . import combinat
 from .errors import RangeError, ValidationError
@@ -219,6 +219,23 @@ def _write_all(sink: BinaryIO, data: bytes | str) -> None:
         view = memoryview(view)[done:]
 
 
+def _write_stream(sink: BinaryIO, opening, blocks: Iterable[tuple[int, Any]], sep, closing) -> None:
+    """Write ``opening``, the texts of ``blocks`` joined by ``sep``, then
+    ``closing``. A block is (line count, text), at most _CHUNK_LINES lines. A
+    write of whole blocks is cut only where the next would not fit, and each
+    write after the first leads with ``sep``, str or bytes as the texts are."""
+    _write_all(sink, opening)
+    chunk, lines = [], 0
+    for count, text in blocks:
+        if lines + count > combinat._CHUNK_LINES:
+            _write_all(sink, sep.join(chunk))
+            chunk, lines = [sep[:0]], 0
+        chunk.append(text)
+        lines += count
+    _write_all(sink, sep.join(chunk))
+    _write_all(sink, closing)
+
+
 def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None = None) -> None:
     """Write the whole graph to ``sink`` as UTF-8 bytes.
 
@@ -236,9 +253,8 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     label, its DOT id or its rank) and the fixed text around each edge: the
     names are built by runs, as the labels are, and fill the walk's table,
     so the walk yields each vertex's later neighbours by name, which are
-    joined into its edge lines at once. A vertex has at most m(n-m) later
-    neighbours, so the lines of _CHUNK_LINES // (m(n-m)) vertices, at least
-    two, go out as one write.
+    joined into its edge lines at once: one block of at most m(n-m) lines
+    per vertex for _write_stream().
     """
     if fmt not in EXPORT_FORMATS:
         raise ValidationError(f"unknown export format {fmt!r}, expected one of {EXPORT_FORMATS}")
@@ -254,7 +270,7 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     # The text of edge (u, v) is left + names[u] + mid + names[v] + right,
     # and consecutive edges are separated by sep.
     if fmt == "edgelist":
-        names = texts("{", ",", "}")
+        names = texts(*combinat._LABEL_TEXT)
         opening = closing = ""
         left, mid, right, sep = "", " -- ", "\n", ""
     elif fmt == "dot":
@@ -270,14 +286,9 @@ def export(p: JohnsonParams, fmt: str, sink: BinaryIO, max_vertices: int | None 
     heads = (left + name + mid for name in names)
     # The last vertex has no later neighbour, and so no edge text.
     blocks = (
-        head + (right + sep + head).join(later) + right
+        (len(later), head + (right + sep + head).join(later) + right)
         for head, later in zip(heads, walk(names))
         if later
     )
-    _write_all(sink, opening)
-    lead = ""
-    while chunk := list(islice(blocks, combinat._CHUNK_LINES // (p.m * (p.n - p.m)))):
-        _write_all(sink, lead + sep.join(chunk))
-        lead = sep
-    _write_all(sink, closing)
+    _write_stream(sink, opening, blocks, sep, closing)
 

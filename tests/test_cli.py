@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import johnson_cliques.cli as cli
+import johnson_cliques.cliques as cliques
 import johnson_cliques.combinat as combinat
 import johnson_cliques.graph as graph
 import johnson_cliques.oracle as oracle
@@ -24,6 +25,7 @@ from johnson_cliques import (
     MAX_GROUND_SET,
     CliqueClass,
     JohnsonParams,
+    MaximalClique,
     RegimeError,
     SkippedPair,
     ValidationError,
@@ -32,6 +34,7 @@ from johnson_cliques import (
     edge_count,
     enumerate_max_cliques,
     enumerate_min_cliques,
+    format_label,
     verify,
 )
 from johnson_cliques.oracle import VERIFY_PHASES
@@ -274,12 +277,64 @@ class TestFamilyLines:
         head = f'{{"class":"{kind.value}","set":['
         tail = f'],"n":{n},"m":{m},"size":{size}}}'
         expected = [head + ",".join(map(str, s)) + tail for s in colex_subsets(n, k)]
-        chunks = cli._family_chunks(JohnsonParams(n, m), [kind], b"\n")
-        assert b"".join(chunks) == "\n".join(expected).encode()
+        blocks = list(cli._family_blocks(JohnsonParams(n, m), [kind], b"\n"))
+        assert b"\n".join(text for _, text in blocks) == "\n".join(expected).encode()
+        assert [count for count, _ in blocks] == [text.count(b"\n") + 1 for _, text in blocks]
 
     def test_class_max_is_refused_in_the_degenerate_regime(self):
         with pytest.raises(RegimeError, match="complete"):
-            next(cli._family_chunks(JohnsonParams(5, 4), [CliqueClass.MAX], b"\n"))
+            next(cli._family_blocks(JohnsonParams(5, 4), [CliqueClass.MAX], b"\n"))
+
+
+class TestOneCliqueRecord:
+    # Every clique line and record is the encoded to_dict() of its clique,
+    # whatever that dict holds: here its keys are reversed. At J(11,2) class
+    # max, the set [1] shares its digit with "n":11.
+    @pytest.fixture(autouse=True)
+    def reversed_keys(self, monkeypatch):
+        to_dict = MaximalClique.to_dict
+        monkeypatch.setattr(MaximalClique, "to_dict", lambda h: dict(reversed(to_dict(h).items())))
+
+    @pytest.mark.parametrize("n,m", [(11, 2), (12, 3)])
+    @pytest.mark.parametrize("command,rest", [("cliques", ["--class", "all"]), ("partition", [])])
+    def test_stream_lines(self, command, rest, n, m):
+        argv = [command, "--n", str(n), "--m", str(m), *rest]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == _expected_stream(argv)
+        assert b'{"size":' in out
+
+    @pytest.mark.parametrize("n,m", [(11, 2), (12, 3)])
+    def test_classify_and_extend_records(self, n, m):
+        p = JohnsonParams(n, m)
+        h_min, h_max = next(enumerate_min_cliques(p)), next(enumerate_max_cliques(p))
+
+        def out(command, labels):
+            return run_cli([command, "--n", str(n), "--m", str(m), *map(format_label, labels)])[1]
+
+        def encoded(payload):
+            return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+
+        # The first two members of h_max lie in h_min too.
+        edge = h_max.members()[:2]
+        assert out("extend", edge) == encoded([h_min.to_dict(), h_max.to_dict()])
+        assert out("classify", edge) == encoded(
+            {"kind": "edge_both", "min": h_min.to_dict(), "max": h_max.to_dict()}
+        )
+        for h in (h_min, h_max):
+            assert out("classify", h.members()) == encoded({**h.to_dict(), "kind": "already_maximal"})
+        assert out("extend", edge).startswith(b'[{"size":')
+
+
+class TestOneLabelText:
+    # format_label and gen's edgelist names read their pieces from one place.
+    def test_patched_pieces_reach_every_label_text(self, monkeypatch):
+        monkeypatch.setattr(combinat, "_LABEL_TEXT", ("<", ";", ">"))
+        assert format_label((1, 3)) == "<1;3>"
+        code, out, _ = run_cli(["gen", "--n", "5", "--m", "3", "--format", "edgelist"])
+        names = [name for line in out.decode().splitlines() for name in line.split(" -- ")]
+        assert code == 0 and len(names) == 2 * edge_count(JohnsonParams(5, 3))
+        assert names == [format_label(u) for edge in graph.edges(JohnsonParams(5, 3)) for u in edge]
+        assert all(re.fullmatch(r"<\d(;\d){2}>", name) for name in names)
 
 
 class _Discard(io.RawIOBase):
@@ -335,22 +390,52 @@ class _Lines(_Discard):
 GEN_EDGE = {"edgelist": rb" -- ", "dot": rb" -- ", "json": rb"\[\d+,\d+\]"}
 
 
+#: Bulk commands whose stdout spans many writes.
+STREAM_WRITE_ARGVS = [
+    ["cliques", "--n", "22", "--m", "4"],
+    ["partition", "--n", "15", "--m", "5"],
+    ["partition", "--n", "13", "--m", "7"],
+    ["cliques", "--n", "16", "--m", "4"],
+    ["partition", "--n", "16", "--m", "4"],
+] + [
+    ["gen", "--n", n, "--m", m, "--format", fmt]
+    for n, m in [("13", "5"), ("62", "2")]
+    for fmt in graph.EXPORT_FORMATS
+]
+
+
+def _block_lines(argv):
+    """The line count of each block that a STREAM_WRITE_ARGVS command writes
+    whole: for gen, each vertex's later neighbours (swaps of x for y > x),
+    where the last vertex has none and no block; otherwise each run of the
+    families' defining sets."""
+    n, m = int(argv[2]), int(argv[4])
+    if argv[0] == "gen":
+        later = (sum(y not in u for x in u for y in range(x + 1, n + 1)) for u in colex_subsets(n, m))
+        return [count for count in later if count]
+    p = JohnsonParams(n, m)
+    kinds = [cliques._partition_class(p)] if argv[0] == "partition" else list(CliqueClass)
+    values = list(range(n + 2))
+    return [
+        len(prefixes)
+        for kind in kinds
+        for prefixes, _ in combinat._colex_runs(n, cliques._class_shape(p, kind)[0], values, values, 0)
+    ]
+
+
+def _packed(blocks):
+    """The line count of each write when ``blocks`` go out whole and a write
+    is cut only where the next block would not fit in _CHUNK_LINES lines."""
+    writes = [0]
+    for lines in blocks:
+        if writes[-1] + lines > combinat._CHUNK_LINES:
+            writes.append(0)
+        writes[-1] += lines
+    return writes
+
+
 class TestStreamWrites:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["cliques", "--n", "22", "--m", "4"],
-            ["partition", "--n", "15", "--m", "5"],
-            ["partition", "--n", "13", "--m", "7"],
-            ["cliques", "--n", "16", "--m", "4"],
-            ["partition", "--n", "16", "--m", "4"],
-        ]
-        + [
-            ["gen", "--n", n, "--m", m, "--format", fmt]
-            for n, m in [("13", "5"), ("62", "2")]
-            for fmt in graph.EXPORT_FORMATS
-        ],
-    )
+    @pytest.mark.parametrize("argv", STREAM_WRITE_ARGVS)
     def test_no_write_holds_more_than_a_chunk(self, argv):
         gen = argv[0] == "gen"
         sink = _Lines(line=GEN_EDGE[argv[-1]]) if gen else _Lines()
@@ -359,6 +444,13 @@ class TestStreamWrites:
         # [a,b] at m = 2 look like its edges [i,j].
         lines = sink.lines[1:] if gen else sink.lines
         assert 0 < max(lines) <= combinat._CHUNK_LINES
+
+    @pytest.mark.parametrize("argv", STREAM_WRITE_ARGVS)
+    def test_a_write_is_cut_only_where_the_next_block_would_not_fit(self, argv):
+        sink = _Lines(line=GEN_EDGE[argv[-1]]) if argv[0] == "gen" else _Lines()
+        assert cli.run(argv, sink, io.BytesIO()) == 0
+        # The opening and closing writes hold no line of a block.
+        assert sink.lines[1:-1] == _packed(_block_lines(argv))
 
     def test_deep_sets_too(self):
         # The first 2 MB of J(62,31) class min: runs of a few lines each.
@@ -505,7 +597,7 @@ class TestOneWritePath:
     # clique streams encode their byte templates once per family.
     @pytest.mark.parametrize(
         "attr,owners",
-        [("write", {"graph._write_all"}), ("encode", {"graph._write_all", "cli._family_chunks"})],
+        [("write", {"graph._write_all"}), ("encode", {"graph._write_all", "cli._family_blocks"})],
     )
     def test_every_call_lies_in_its_owners(self, attr, owners):
         owned, stray = set(), []
@@ -519,6 +611,18 @@ class TestOneWritePath:
             stray += [f"{path.name}:{c.lineno}" for c in _attribute_calls(tree, attr) - allowed]
         assert owned == owners
         assert stray == []
+
+    def test_one_loop_reads_the_write_bound(self):
+        # Past its definition, _CHUNK_LINES sizes the prefix table of the
+        # runs and cuts the writes of _write_stream, and nothing else.
+        readers = set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                    if name == "_CHUNK_LINES" and isinstance(node.ctx, ast.Load):
+                        readers.add(f"{path.stem}.{top.name}")
+        assert readers == {"combinat._colex_runs", "graph._write_stream"}
 
     # A text stream has a callable write, but one that takes str, not the
     # bytes run() writes. The first argv writes only to out, the second
